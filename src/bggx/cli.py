@@ -10,7 +10,9 @@ Output contract: `--format json` emits a stable envelope
 {command, parameters, results, status} serialized with sorted keys, so
 repeated runs with identical flags produce identical bytes; wall time
 appears only in the text rendering.  Exit codes: 0 pass (warnings do
-not fail), 1 mathematical mismatch, 2 usage error, 3 input-data error.
+not fail), 1 mathematical mismatch, 2 usage error, 3 input-data error,
+4 internal error (a RuntimeError or ArithmeticError, such as a failed
+rank-bookkeeping guard: a fault of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 20260819
 
@@ -758,6 +761,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report.wall_time = time.perf_counter() - start
     _emit(report, args.format, args.out)
     return EXIT_PASS if report.status in ("PASS", "WARN") else EXIT_MISMATCH

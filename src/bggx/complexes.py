@@ -15,6 +15,14 @@ w_t wedge alpha, weighted by the multiplicity of t.
 Matrices are held as sparse int64 with one global rational scale per
 map (denominators of W and of the datum are cleared once), so rank and
 homology computations run on integers and remain exact.
+
+Every rank is certified per independent block of its map (the connected
+components of the row/column graph).  A modular rank is the lower
+bound.  The upper bound is min(shape) or d_i - r_prev where the lower
+bound meets one of them; elsewhere it comes from a kernel computed mod
+p, lifted to Q by CRT and rational reconstruction, and checked exactly.
+Bareiss elimination is the last resort when no lift checks out, and the
+whole-map oracle behind method="exact".
 """
 
 from __future__ import annotations
@@ -29,7 +37,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .ratlinalg import MOD_PRIMES, projected_for_rank, rank_exact, rank_mod
+from .ratlinalg import (
+    LIFT_PRIMES,
+    MOD_PRIMES,
+    rank_exact,
+    rank_mod,
+    rational_reconstruction,
+    rref_mod,
+)
 
 
 class DataError(ValueError):
@@ -359,6 +374,22 @@ class ComplexOfMatrices:
     map_scales: tuple[Fraction, ...] = field(hash=False)
     labels: tuple = ()
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the scipy maps with their
+        # elementwise ==, whose truth value is ambiguous
+        if not isinstance(other, ComplexOfMatrices):
+            return NotImplemented
+        return (
+            self.term_dims == other.term_dims
+            and self.map_scales == other.map_scales
+            and self.labels == other.labels
+            and len(self.maps) == len(other.maps)
+            and all(
+                a.shape == b.shape and (a != b).nnz == 0
+                for a, b in zip(self.maps, other.maps)
+            )
+        )
+
     @property
     def n_terms(self) -> int:
         return len(self.term_dims)
@@ -476,12 +507,6 @@ def _as_int_array(mat: sp.csr_matrix) -> np.ndarray:
     return np.asarray(mat.toarray(), dtype=np.int64)
 
 
-def _rank_exact_csr(mat: sp.csr_matrix) -> int:
-    if min(mat.shape) == 0 or mat.nnz == 0:
-        return 0
-    return rank_exact(_as_int_array(mat))
-
-
 def _component_roots(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Smallest node of each node's connected component, edges u[e] -- v[e].
 
@@ -551,15 +576,12 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
     return blocks
 
 
-def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int, attempt: int) -> int:
-    """Modular lower bound for rank(mat), tuned to certify >= needed.
+def _sum_over_blocks(mat: sp.csr_matrix, block_rank) -> int:
+    """Sum of block_rank(block) over the independent blocks of mat.
 
-    mat is split into its independent blocks (:func:`_independent_blocks`)
-    and the bound is the sum of per-block bounds from
-    :func:`_block_rank_lb`; blocks with equal CSR arrays are ranked once.
-    The ranks of the blocks mod p add up to the rank of mat mod p, so
-    the sum of per-block lower bounds is a lower bound too.  attempt > 0
-    redraws the projections; the last attempt skips them entirely.
+    Blocks with equal CSR arrays (see :func:`_independent_blocks`) are
+    ranked once.  The ranks of the blocks add up to the rank of mat, over
+    Q and over every F_p, so sums of per-block bounds are bounds too.
     """
     if min(mat.shape) == 0 or mat.nnz == 0:
         return 0
@@ -568,13 +590,21 @@ def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int, attempt: int) -> int:
     for shape, indptr, indices, data in _independent_blocks(mat):
         key = (shape, indptr.tobytes(), indices.tobytes(), data.tobytes())
         if key not in seen:
-            blk = sp.csr_matrix((data, indices, indptr), shape=shape)
-            seen[key] = _block_rank_lb(blk, p, min(needed, *shape), attempt)
+            seen[key] = block_rank(sp.csr_matrix((data, indices, indptr), shape=shape))
         total += seen[key]
     return total
 
 
-def _block_rank_lb(mat: sp.csr_matrix, p: int, needed: int, attempt: int) -> int:
+def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
+    """Modular lower bound for rank(mat), tuned to certify >= needed.
+
+    The sum over the independent blocks of :func:`_block_rank_lb`, with
+    needed capped at each block's smaller side.
+    """
+    return _sum_over_blocks(mat, lambda blk: _block_rank_lb(blk, p, min(needed, *blk.shape)))
+
+
+def _block_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
     """Modular lower bound for the rank of one block, tuned to reach needed.
 
     Rows and columns far beyond `needed` are compressed away by random
@@ -584,11 +614,8 @@ def _block_rank_lb(mat: sp.csr_matrix, p: int, needed: int, attempt: int) -> int
     """
     rows, cols = mat.shape
     t = needed + 16
-    seed = (attempt * 0x9E3779B1 + rows * 1000003 + cols) & 0x7FFFFFFF
-    rng = np.random.default_rng(seed)
-    project = attempt < 2 and needed + 32 < max(rows, cols)
-
-    if project:
+    rng = np.random.default_rng((rows * 1000003 + cols) & 0x7FFFFFFF)
+    if needed + 32 < max(rows, cols):
         work = mat.copy()
         work.data = work.data % p
         dense = None
@@ -606,20 +633,112 @@ def _block_rank_lb(mat: sp.csr_matrix, p: int, needed: int, attempt: int) -> int
                 # stay below 3p * cols < 2**53, exact in float64
                 prod = dense.astype(np.float64) @ h.astype(np.float64)
                 dense = np.mod(prod, p).astype(np.int64)
-        if dense is not None:
-            return rank_mod(dense, p)
+        return rank_mod(dense, p)
     return rank_mod(_as_int_array(mat), p)
+
+
+def _rank_exact_csr(mat: sp.csr_matrix) -> int:
+    """Exact rank of mat: the sum of :func:`_block_rank_exact` over its blocks."""
+    return _sum_over_blocks(mat, _block_rank_exact)
+
+
+def _block_rank_exact(blk: sp.csr_matrix) -> int:
+    """Exact rank of one block, certified by a kernel lifted from F_p to Q.
+
+    B is the block or its transpose, whichever has fewer columns (the
+    smaller kernel).  For each prime p of LIFT_PRIMES in turn, the RREF of
+    B mod p gives r_p <= rank_Q(B) and a kernel basis mod p that is the
+    identity on the n - r_p free columns.  The basis is carried to Q by
+    the Chinese remainder theorem over the primes so far and rational
+    reconstruction, scaled to integers, and checked to satisfy B K = 0
+    exactly.  The identity rows make the columns of K independent, so a
+    passing check gives rank_Q(B) <= r_p, and the rank is r_p.
+
+    A prime whose rank is lower, or whose pivot columns are
+    lexicographically later, than the best seen so far is unlucky and
+    skipped; a better one restarts the lift.  Bareiss elimination runs
+    only when no lift passes its check.
+    """
+    b = blk if blk.shape[1] <= blk.shape[0] else blk.T.tocsr()
+    dense = _as_int_array(b)
+    n = dense.shape[1]
+    best = None
+    for p in LIFT_PRIMES:
+        reduced, pivots = rref_mod(dense, p)
+        if len(pivots) == n:
+            return n  # n = r_p <= rank_Q <= n
+        free = np.setdiff1d(np.arange(n), pivots)
+        residues = -reduced[:, free] % p
+        here = (len(pivots), [-x for x in pivots.tolist()])
+        if best is None or here > best:
+            best, modulus, lifted = here, p, residues
+        elif here == best:
+            # the residues mod modulus * p that reduce to lifted and residues
+            if modulus * p >= 2**62:
+                lifted = lifted.astype(object)
+            step = (residues - lifted % p) * pow(modulus, -1, p) % p
+            lifted, modulus = lifted + modulus * step, modulus * p
+        else:
+            continue
+        kernel = _integral_kernel(lifted, modulus, pivots, free)
+        if kernel is not None and _annihilates(b, kernel):
+            return len(pivots)
+    return rank_exact(dense)
+
+
+def _integral_kernel(lifted, modulus: int, pivots: np.ndarray, free: np.ndarray):
+    """Integer kernel candidate from the reduced entries lifted mod modulus.
+
+    lifted[i, f] is -R[i, free[f]] for the RREF R, so column f of the
+    kernel is lifted[:, f] on the pivot rows and the unit vector of
+    free[f] on the free rows.  Each column is reconstructed over Q and
+    multiplied by the lcm of its denominators.  None when some entry has
+    no rational reconstruction.
+    """
+    fractions = rational_reconstruction(lifted, modulus)
+    if fractions is None:
+        return None
+    num, den = fractions
+    den = den.astype(object)
+    scale = np.lcm.reduce(den, axis=0) if den.size else np.ones(len(free), dtype=object)
+    kernel = np.zeros((len(pivots) + len(free), len(free)), dtype=object)
+    kernel[pivots] = num * (scale // den)
+    kernel[free, np.arange(len(free))] = scale
+    if kernel.size and abs(kernel).max() < 2**62:
+        kernel = kernel.astype(np.int64)
+    return kernel
+
+
+def _annihilates(b: sp.csr_matrix, kernel: np.ndarray) -> bool:
+    """Whether b @ kernel vanishes, computed exactly."""
+    if not kernel.size or not b.nnz:
+        return True
+    widest = int(np.diff(b.indptr).max())
+    if kernel.dtype != object:
+        top = widest * int(abs(b.data).max()) * int(abs(kernel).max())
+        if top < 2**62:
+            return not (b @ kernel).any()
+    # int64 could overflow: accumulate the rows in exact Python ints
+    coo = b.tocoo()
+    out = np.zeros((b.shape[0], kernel.shape[1]), dtype=object)
+    kernel = kernel.astype(object)
+    for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        out[r] += v * kernel[c]
+    return not out.any()
 
 
 def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
     """Homology positions in order, stopping early where possible.
 
-    Yields (position, h_i) with exact h_i.  The fast path certifies
-    h_i = 0 from a modular rank lower bound: homology over Q is
-    non-negative and modular rank never exceeds rational rank, so a
-    lower bound that accounts for the full dimension pins both the
-    vanishing and the exact rank used at the next position.  Positions
-    the primes cannot certify fall back to fraction-free exact ranks.
+    Yields (position, h_i) with exact h_i = d_i - r_i - r_prev.  With
+    method="auto" each rank r_i is certified from both sides.  One
+    modular rank per block gives a lower bound (modular rank never
+    exceeds rational rank).  min(shape) bounds r_i from above, and so does
+    d_i - r_prev, because homology over Q is non-negative.  When the lower
+    bound reaches the smaller upper bound, r_i is pinned; in particular
+    h_i = 0 when that bound is d_i - r_prev.  Any other map is ranked
+    exactly by :func:`_rank_exact_csr`.  method="exact" ranks every map
+    whole by Bareiss elimination, independently of all of the above.
     """
     n = len(c.maps)
     limit = n + 1 if stop_at is None else min(stop_at, n + 1)
@@ -630,17 +749,13 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
             yield i, d_i - r_prev
             return
         mat = c.maps[i]
-        r_i = None
         if method == "auto":
-            needed = d_i - r_prev
-            ladder = ((0, MOD_PRIMES[0]), (1, MOD_PRIMES[1]), (2, MOD_PRIMES[0]))
-            for attempt, p in ladder:
-                lb = _cert_rank_lb(mat, p, needed, attempt)
-                if lb == needed:
-                    r_i = lb
-                    break
-        if r_i is None:
-            r_i = _rank_exact_csr(mat)
+            needed = min(d_i - r_prev, *mat.shape)
+            r_i = _cert_rank_lb(mat, MOD_PRIMES[0], needed)
+            if r_i != needed:
+                r_i = _rank_exact_csr(mat)
+        else:
+            r_i = rank_exact(_as_int_array(mat)) if mat.nnz else 0
         h_i = d_i - r_i - r_prev
         if h_i < 0:
             raise RuntimeError("negative homology dimension; rank bookkeeping bug")

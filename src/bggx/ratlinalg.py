@@ -1,24 +1,29 @@
-"""Exact and modular rank computations for integer matrices.
+"""Exact and modular linear algebra for integer matrices.
 
-Two complementary paths:
-
-* :func:`rank_exact` runs fraction-free (Bareiss) elimination over the
-  rationals.  It is unconditionally correct but cubic with growing
-  integer entries, so it is the tool of choice for small and
-  medium-sized matrices.
+The rank certificates of :mod:`bggx.complexes` are built from these:
 
 * :func:`rank_mod` computes the rank over a prime field F_p using
   blocked elimination whose trailing updates are float64 matrix
   products.  With the primes in :data:`MOD_PRIMES` every intermediate
   value stays below 2**53, so the floating-point arithmetic is exact.
-  A modular rank is always a *lower* bound for the rational rank,
-  which is exactly what the homology-vanishing certificates need.
+  A modular rank is always a *lower* bound for the rational rank.
+
+* :func:`rref_mod` gives the reduced row echelon form over F_p, hence a
+  kernel basis mod p, and :func:`rational_reconstruction` carries
+  residues modulo a product of :data:`LIFT_PRIMES` back to fractions.
+  Together they produce kernel candidates over Q whose exact check
+  bounds the rational rank from *above*.
+
+* :func:`rank_exact` runs fraction-free (Bareiss) elimination over the
+  rationals.  It is unconditionally correct but cubic with growing
+  integer entries: the last resort when no lifted kernel checks out,
+  and the independent oracle the certificates are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +32,10 @@ import numpy as np
 # canonical residues stay below 2**53 for n <= 30000 and the whole
 # elimination can run in exact float64 with almost no reductions.
 MOD_PRIMES = (524287, 524269)
+
+# Primes for lifting kernels to Q by the Chinese remainder theorem: the
+# two above, then six more below 2**19.01 (their product is about 2**152).
+LIFT_PRIMES = MOD_PRIMES + (524261, 524257, 524243, 524231, 524221, 524219)
 
 _PANEL = 256
 _MINI = 16
@@ -180,33 +189,74 @@ def rank_mod(matrix, p: int) -> int:
     return rank
 
 
-def rank_lower_bound(matrix, primes: Sequence[int] = MOD_PRIMES) -> int:
-    """Best modular lower bound for the rational rank.
+def rref_mod(matrix, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of an integer matrix over F_p.
 
-    The rank over F_p never exceeds the rank over Q, so the maximum over
-    several primes is a certified lower bound.
+    Returns (reduced, pivots): the rank-many nonzero rows of the RREF,
+    entries in [0, p), and their pivot columns in increasing order.
+    Gauss-Jordan elimination in int64: every update multiplies two
+    canonical residues, so nothing exceeds p**2 < 2**63.  Rows whose
+    entry in the pivot column is already zero are left alone, which
+    keeps sparse inputs cheap.
     """
-    a = np.asarray(matrix, dtype=np.int64)
-    return max(rank_mod(a, p) for p in primes)
-
-
-def projected_for_rank(a: np.ndarray, p: int, seed: int = 0, rows: int | None = None) -> np.ndarray:
-    """Compress a tall matrix before a modular rank computation.
-
-    Left-multiplying by a random matrix can only lose rank, so the rank
-    of the projection is still a valid lower bound for the rank mod p
-    (hence for the rational rank).  Coefficients live in [0, 4) and the
-    product runs as an exact float64 BLAS call: summands are below
-    3(p-1) and the row count below 2**16, keeping dot products under
-    2**53.
-    """
+    if p * p >= 2**63:
+        raise ValueError("modulus too large for int64 elimination")
+    a = np.asarray(matrix, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
     m, n = a.shape
-    target = (n if rows is None else rows) + 16
-    if m <= target:
-        return a
-    if m >= 2**16:
-        raise ValueError("matrix too tall for the exact projection bound")
-    rng = np.random.default_rng(seed)
-    g = rng.integers(0, 4, size=(target, m)).astype(np.float64)
-    prod = g @ np.ascontiguousarray(a % p, dtype=np.float64)
-    return np.mod(prod, p).astype(np.int64)
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = np.flatnonzero(a[row:, col])
+        if not nz.size:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        # rows at and below `row` vanish left of col, so only col: moves
+        pivrow = a[row, col:] * pow(int(a[row, col]), p - 2, p) % p
+        a[row, col:] = pivrow
+        factors = a[:, col].copy()
+        factors[row] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            a[hit, col:] = (a[hit, col:] - factors[hit, None] * pivrow) % p
+        pivots.append(col)
+        row += 1
+    return a[:row], np.array(pivots, dtype=np.int64)
+
+
+def rational_reconstruction(residues, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fractions congruent to residues mod m, entry by entry.
+
+    Each x in [0, m) becomes num/den with num = den * x (mod m),
+    |num| <= N and 0 < den <= N for N = isqrt(m // 2); when such a
+    reduced fraction exists it is unique, and the half-extended
+    Euclidean algorithm on (m, x) finds it (Wang, Guy and Davenport
+    1982).  Returns (num, den) with the shape of residues, int64 when
+    m < 2**62 (every remainder and cofactor stays below 2m) and exact
+    Python ints otherwise, or None when some entry has no fraction
+    within the bounds.
+    """
+    bound = isqrt(m // 2)
+    dtype = np.int64 if m < 2**62 else object
+    x = np.asarray(residues)
+    r1 = x.astype(dtype).ravel()
+    r0 = np.full(r1.shape, m, dtype=dtype)
+    t0 = np.zeros(r1.shape, dtype=dtype)
+    t1 = np.ones(r1.shape, dtype=dtype)
+    live = np.flatnonzero(r1 > bound)
+    while live.size:
+        a, b = r0[live], r1[live]
+        q = a // b
+        r0[live], r1[live] = b, a - q * b
+        s, t = t0[live], t1[live]
+        t0[live], t1[live] = t, s - q * t
+        live = live[r1[live] > bound]
+    if (abs(t1) > bound).any():
+        return None
+    sign = np.where(t1 < 0, -1, 1)
+    return (r1 * sign).reshape(x.shape), (t1 * sign).reshape(x.shape)

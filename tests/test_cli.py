@@ -233,3 +233,16 @@ def test_repro_names_tampered_anchor(monkeypatch, capsys):
     assert code == 1
     assert "g_2 closed form, k=1" in out
     assert "status: FAIL" in out
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("rank bookkeeping bug"), ZeroDivisionError("division by zero")])
+def test_internal_errors_exit_4_without_traceback(monkeypatch, capsys, fault):
+    def broken(*_args, **_kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli.complexes, "e2_table", broken)
+    code, out, err = run(capsys, "example", "curves", "--format", "json")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert f"internal error: {type(fault).__name__}: {fault}" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Derivative complexes: construction, homology, invariance, faults."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bggx import complexes
 from bggx.bounds import alternating_sum
@@ -23,7 +26,7 @@ from bggx.complexes import (
     homology_dims,
 )
 from bggx.models import abelian_model, curves_product_model, random_subspace
-from bggx.ratlinalg import MOD_PRIMES, rank_exact
+from bggx.ratlinalg import LIFT_PRIMES, MOD_PRIMES, rank_exact
 
 
 def test_sparserat_basics():
@@ -126,6 +129,16 @@ def test_rational_action_scales_each_map():
         for i in range(3):
             want = [[x * factor[i] for x in row] for row in plain.map_dense(i)]
             assert c.map_dense(i) == want
+
+
+def test_complex_equality_compares_maps_by_value():
+    dat, W = curves_product_model()
+    a, b = build_complex(dat, W, 2, 0), build_complex(dat, W, 2, 0)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_complex(dat, W, 2, 1)
+    assert a != dataclasses.replace(a, maps=(2 * a.maps[0], a.maps[1]))
+    assert a != dataclasses.replace(a, map_scales=(Fraction(1, 2), Fraction(1, 2)))
+    assert a != "not a complex"
 
 
 def test_zero_complex_homology():
@@ -308,13 +321,12 @@ def test_block_split_certificate(monkeypatch):
         assert sorted(map(key, found)) == sorted(map(key, want))
         exact = rank_exact(mat.toarray())
         for p in MOD_PRIMES:
-            for attempt in range(3):
-                for needed in (exact, exact + 40):
-                    ranked.clear()
-                    # never above rank_exact (sound), and here equal to it
-                    lb = complexes._cert_rank_lb(mat, p, needed, attempt)
-                    assert lb == exact, (mat.shape, p, attempt, needed)
-                    assert len(ranked) == distinct
+            for needed in (exact, exact + 40):
+                ranked.clear()
+                # never above rank_exact (sound), and here equal to it
+                lb = complexes._cert_rank_lb(mat, p, needed)
+                assert lb == exact, (mat.shape, p, needed)
+                assert len(ranked) == distinct
         if blocks[0] is twin:
             assert exact == 3 * 12 + 3 + 6
 
@@ -332,3 +344,113 @@ def test_auto_matches_exact_on_split_abelian_maps():
             assert any(len(complexes._independent_blocks(m)) > 1 for m in c.maps if m.nnz)
             assert exactness_prefix(c, method="auto") == exactness_prefix(c, method="exact")
             assert homology_dims(c, method="auto") == homology_dims(c, method="exact")
+
+
+def _tracking_ranks(monkeypatch):
+    """Record the primes rref_mod runs with and the shapes rank_exact sees."""
+    primes, exact_shapes = [], []
+    real_rref, real_exact = complexes.rref_mod, complexes.rank_exact
+
+    def rref(a, p):
+        primes.append(p)
+        return real_rref(a, p)
+
+    def exact(a):
+        exact_shapes.append(np.shape(a))
+        return real_exact(a)
+
+    monkeypatch.setattr(complexes, "rref_mod", rref)
+    monkeypatch.setattr(complexes, "rank_exact", exact)
+    return primes, exact_shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 14),
+    cols=st.integers(1, 14),
+    rank=st.integers(0, 14),
+)
+def test_lifted_kernel_rank_matches_bareiss_on_products(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    mat = sp.csr_matrix(_block(rng, rows, cols, min(rank, rows, cols)))
+    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(
+        st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8)), min_size=1, max_size=5
+    ),
+    repeats=st.integers(1, 3),
+    empty_rows=st.integers(0, 3),
+    empty_cols=st.integers(0, 3),
+)
+def test_lifted_kernel_rank_matches_bareiss_on_block_diagonals(
+    seed, shapes, repeats, empty_rows, empty_cols
+):
+    rng = np.random.default_rng(seed)
+    blocks = [_block(rng, m, n, min(r, m, n)) for m, n, r in shapes]
+    blocks += blocks[:1] * (repeats - 1)  # equal blocks are ranked once
+    mat = _interleaved_blocks(rng, blocks, empty_rows, empty_cols)
+    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray())
+
+
+def test_unlucky_prime_lift_fails_its_check(monkeypatch):
+    # over Q rows 0 and 1 are independent and row 2 is their sum, but
+    # mod MOD_PRIMES[0] row 1 vanishes: diag(1, p0) sits inside the block
+    p0 = MOD_PRIMES[0]
+    core = np.array([[1, 1, 0], [0, p0, p0], [1, 1 + p0, p0]])
+    assert complexes._cert_rank_lb(sp.csr_matrix(core), p0, 3) == 1
+    rng = np.random.default_rng(5)
+    mat = _interleaved_blocks(rng, [core, _block(rng, 6, 4, 2)], 2, 1)
+    primes, exact_shapes = _tracking_ranks(monkeypatch)
+    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray()) == 4
+    # the core's kernel mod p0 has the wrong dimension, so its lift fails
+    # the exact check; the next prime has the rational rank and pivots
+    assert primes.count(p0) == 2 and primes.count(MOD_PRIMES[1]) == 1
+    assert not exact_shapes
+
+
+def _sum_row_block(base):
+    """3 x 3 integer block of rank 2, third row the sum of the first two.
+
+    The kernel vector that is 1 on the free column has denominators
+    dividing the 2 x 2 pivot minor, which is near base**2.
+    """
+    r0, r1 = [base + 3, 7, base - 11], [5, base + 13, 17]
+    return np.array([r0, r1, [x + y for x, y in zip(r0, r1)]], dtype=np.int64)
+
+
+def test_kernel_lift_combines_primes_by_crt(monkeypatch):
+    # denominators near 2**41 reconstruct only modulo four primes (past
+    # 2**62, in Python ints), and the cleared kernel times the block
+    # exceeds the int64 bound, so the exact check runs in Python ints too
+    primes, exact_shapes = _tracking_ranks(monkeypatch)
+    assert complexes._rank_exact_csr(sp.csr_matrix(_sum_row_block(2**20))) == 2
+    assert primes == list(LIFT_PRIMES[:4]) and not exact_shapes
+    # denominators near 2**101 are beyond every product of LIFT_PRIMES:
+    # each lift fails and Bareiss decides
+    primes.clear()
+    block = _sum_row_block(2**50)
+    assert complexes._rank_exact_csr(sp.csr_matrix(block)) == 2
+    assert primes == list(LIFT_PRIMES) and exact_shapes == [block.shape]
+
+
+def test_auto_matches_exact_on_moved_curves_w(monkeypatch):
+    dat, W = curves_product_model()
+    rng = random.Random(20260819)
+    primes, exact_shapes = _tracking_ranks(monkeypatch)
+    for r in range(2, 7):
+        # a row-permuted unit triangular basis change with +-1 entries
+        g = [[1 if s == t else (rng.choice((-1, 1)) if s > t else 0) for s in range(3)] for t in range(3)]
+        rng.shuffle(g)
+        moved = W.times(g)
+        primes.clear()
+        exact_shapes.clear()  # W.times checks its basis with rank_exact
+        auto = e2_table(dat, moved, r)
+        # the ranks the modular bound left open came from lifted kernels
+        assert primes and not exact_shapes
+        assert auto == e2_table(dat, moved, r, method="exact")
+        assert exact_shapes  # the oracle really ran Bareiss

@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 
 from bggx.ratlinalg import (
+    LIFT_PRIMES,
     MOD_PRIMES,
-    projected_for_rank,
     rank_exact,
-    rank_lower_bound,
     rank_mod,
+    rational_reconstruction,
+    rref_mod,
 )
 
 
@@ -127,20 +129,43 @@ def test_rank_mod_blocked_matches_small_path():
     assert rank_mod(a, p) == rank_mod(a.T, p) == rank_exact(a)
 
 
-def test_rank_lower_bound_takes_best_prime():
-    p0 = MOD_PRIMES[0]
-    assert rank_lower_bound([[p0, 0], [0, 1]]) == 2
+def test_rref_mod_is_reduced_and_spans_the_rows():
+    rng = np.random.default_rng(29)
+    for p in (MOD_PRIMES[0], 101):
+        for _ in range(30):
+            m, n = (int(x) for x in rng.integers(1, 9, size=2))
+            rank = int(rng.integers(0, min(m, n) + 1))
+            a = rng.integers(-4, 5, size=(m, rank)) @ rng.integers(-4, 5, size=(rank, n))
+            reduced, pivots = rref_mod(a, p)
+            assert len(pivots) == rank_mod(a, p) == reduced.shape[0]
+            assert list(pivots) == sorted(set(pivots.tolist()))
+            assert (reduced[:, pivots] == np.eye(len(pivots), dtype=np.int64)).all()
+            for row, col in zip(reduced, pivots):
+                assert not row[:col].any()  # echelon: nothing left of the pivot
+            # same row space mod p: stacking adds no rank
+            assert rank_mod(np.vstack([a % p, reduced]), p) == len(pivots)
 
 
-def test_projection_preserves_small_rank():
-    rng = np.random.default_rng(23)
-    b = rng.integers(-4, 5, size=(500, 7), dtype=np.int64)
-    c = rng.integers(-4, 5, size=(7, 20), dtype=np.int64)
-    a = b @ c
-    p = MOD_PRIMES[0]
-    proj = projected_for_rank(a, p, seed=1)
-    assert proj.shape == (36, 20)
-    assert rank_mod(proj, p) == rank_mod(a, p) == 7
-    # short matrices pass through untouched
-    small = np.eye(4, dtype=np.int64)
-    assert projected_for_rank(small, p) is small
+def test_rational_reconstruction_round_trip():
+    rng = random.Random(31)
+    for m in (MOD_PRIMES[0], prod(LIFT_PRIMES[:4])):  # int64 and Python-int paths
+        bound = isqrt(m // 2)
+        want = []
+        while len(want) < 40:
+            num, den = rng.randint(-bound, bound), rng.randint(1, bound)
+            if gcd(num, den) == 1:
+                want.append((num, den))
+        residues = np.array([num * pow(den, -1, m) % m for num, den in want], dtype=object)
+        got = rational_reconstruction(residues.reshape(5, 8), m)
+        assert got is not None
+        assert list(zip(got[0].ravel().tolist(), got[1].ravel().tolist())) == want
+
+
+def test_rational_reconstruction_reports_failure():
+    m = 101
+    bound = isqrt(m // 2)
+    reachable = {n * pow(d, -1, m) % m for n in range(-bound, bound + 1) for d in range(1, bound + 1)}
+    missing = next(x for x in range(m) if x not in reachable)
+    assert rational_reconstruction(np.array([0, 1, missing]), m) is None
+    num, den = rational_reconstruction(np.array([0, 1, m - 1]), m)
+    assert num.tolist() == [0, 1, -1] and den.tolist() == [1, 1, 1]
