@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,12 +51,6 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (as opposed to usage errors)."""
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class SparseRat:
     """Sparse exact-rational matrix: a shape plus the nonzero entries."""
 
@@ -69,7 +63,7 @@ class SparseRat:
         self.shape = (m, n)
         clean = {}
         for (r, c), v in (entries or {}).items():
-            v = _fr(v)
+            v = Fraction(v)
             if not (0 <= r < m and 0 <= c < n):
                 raise ValueError(f"entry ({r},{c}) outside shape {self.shape}")
             if v:
@@ -85,7 +79,7 @@ class SparseRat:
             if len(row) != n:
                 raise ValueError("ragged matrix")
             for j, v in enumerate(row):
-                v = _fr(v)
+                v = Fraction(v)
                 if v:
                     ent[(i, j)] = v
         return cls((m, n), ent)
@@ -144,7 +138,7 @@ class SubspaceW:
     __slots__ = ("q", "k", "columns")
 
     def __init__(self, columns: Sequence[Sequence]):
-        cols = tuple(tuple(_fr(x) for x in col) for col in columns)
+        cols = tuple(tuple(Fraction(x) for x in col) for col in columns)
         if not cols:
             raise ValueError("W needs at least one basis vector")
         q = len(cols[0])
@@ -162,7 +156,7 @@ class SubspaceW:
 
     def times(self, g: Sequence[Sequence]) -> "SubspaceW":
         """Replace the basis by W.g for an invertible k x k matrix g."""
-        rows = [[_fr(x) for x in row] for row in g]
+        rows = [[Fraction(x) for x in row] for row in g]
         if len(rows) != self.k or any(len(r) != self.k for r in rows):
             raise ValueError("basis change must be k x k")
         if rank_exact(rows) != self.k:

@@ -41,10 +41,6 @@ def format_partition(lam) -> str:
     return ",".join(str(p) for p in lam)
 
 
-def size(lam) -> int:
-    return sum(lam)
-
-
 def fits_box(lam, rows: int, width: int | None) -> bool:
     """True if lam has at most `rows` parts, each at most `width` (None = unbounded)."""
     if len(lam) > rows:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .partitions import (
@@ -24,6 +25,10 @@ from .partitions import (
     normalize,
     vertical_strips,
 )
+
+# Bound on the cache of general products, far above the 837 that all
+# products of two Gr(4,8) classes need.
+_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -231,63 +236,44 @@ def pieri_dual(lam, c: int, ctx: GrassmannianContext) -> SchubertExpr:
     return SchubertExpr(ctx, out)
 
 
-_SPECIAL_PRODUCT_CACHE: dict = {}
+def _giambelli_apply(start, b, ctx: GrassmannianContext) -> SchubertExpr:
+    """sigma_start * sigma_b, with sigma_b expanded as det(sigma_{b_i + j - i}).
 
-
-def _special_product(ms: tuple[int, ...], ctx: GrassmannianContext) -> SchubertExpr:
-    """Product of special classes sigma_{m1} * ... (ms sorted), cached per context."""
-    key = (ctx, ms)
-    hit = _SPECIAL_PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if not ms:
-        res = SchubertExpr.unit(ctx)
-    else:
-        base = _special_product(ms[:-1], ctx)
-        acc = {}
-        for lam, c in base.terms.items():
-            for nu in horizontal_strips(lam, ms[-1], ctx.k, ctx.width):
-                acc[nu] = acc.get(nu, 0) + c
-        res = SchubertExpr(ctx, acc)
-    _SPECIAL_PRODUCT_CACHE[key] = res
-    return res
-
-
-def giambelli(lam, ctx: GrassmannianContext) -> SchubertExpr:
-    """Expand sigma_lam as det(sigma_{lam_i + j - i}) over special classes.
-
-    The permutation expansion of the determinant; entries with index < 0 or
-    beyond the box width vanish. Sanity: the result always equals
-    sigma_lam itself.
+    Each term of the determinant's permutation expansion is a product of
+    special (single-row) classes, applied to `start` as horizontal strips;
+    entries with index < 0 or beyond the box width vanish.
     """
-    lam = normalize(lam)
-    ctx.check(lam)
-    n = len(lam)
-    if n == 0:
-        return SchubertExpr.unit(ctx)
-    total = SchubertExpr.zero(ctx)
+    n = len(b)
+    total = {}
     for perm in permutations(range(n)):
-        ms = []
-        ok = True
-        for i in range(n):
-            m = lam[i] + perm[i] - i
-            if m < 0 or (ctx.width is not None and m > ctx.width):
-                ok = False
-                break
-            if m > 0:
-                ms.append(m)
-        if not ok:
+        ms = [b[i] + perm[i] - i for i in range(n)]
+        if any(m < 0 or (ctx.width is not None and m > ctx.width) for m in ms):
             continue
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        total = total + _special_product(tuple(sorted(ms)), ctx).scale(sign)
-    return total
+        acc = {start: sign}
+        for m in sorted(ms):
+            nxt = {}
+            for lam, c in acc.items():
+                for nu in horizontal_strips(lam, m, ctx.k, ctx.width):
+                    nxt[nu] = nxt.get(nu, 0) + c
+            acc = nxt
+        for nu, c in acc.items():
+            total[nu] = total.get(nu, 0) + c
+    return SchubertExpr(ctx, total)
 
 
-_CLASS_PRODUCT_CACHE: dict = {}
+def giambelli(lam, ctx: GrassmannianContext) -> SchubertExpr:
+    """Expand sigma_lam as det(sigma_{lam_i + j - i}) over special classes.
+
+    Sanity: the result always equals sigma_lam itself.
+    """
+    lam = normalize(lam)
+    ctx.check(lam)
+    return _giambelli_apply((), lam, ctx)
 
 
 def class_product(lam, mu, ctx: GrassmannianContext) -> SchubertExpr:
@@ -302,43 +288,14 @@ def class_product(lam, mu, ctx: GrassmannianContext) -> SchubertExpr:
         return pieri_dual(lam, len(mu), ctx)
     if lam[0] == 1:
         return pieri_dual(mu, len(lam), ctx)
+    return _general_product(lam, mu, ctx) if lam <= mu else _general_product(mu, lam, ctx)
 
-    key = (ctx, lam, mu) if lam <= mu else (ctx, mu, lam)
-    hit = _CLASS_PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _general_product(lam, mu, ctx):
     # expand the factor with fewer rows through Giambelli
     a, b = (lam, mu) if len(mu) <= len(lam) else (mu, lam)
-    n = len(b)
-    total = SchubertExpr.zero(ctx)
-    for perm in permutations(range(n)):
-        ms = []
-        ok = True
-        for i in range(n):
-            m = b[i] + perm[i] - i
-            if m < 0 or (ctx.width is not None and m > ctx.width):
-                ok = False
-                break
-            if m > 0:
-                ms.append(m)
-        if not ok:
-            continue
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        acc = {a: sign}
-        for m in sorted(ms):
-            nxt = {}
-            for lam2, c in acc.items():
-                for nu in horizontal_strips(lam2, m, ctx.k, ctx.width):
-                    nxt[nu] = nxt.get(nu, 0) + c
-            acc = nxt
-        total = total + SchubertExpr(ctx, acc)
-    _CLASS_PRODUCT_CACHE[key] = total
-    return total
+    return _giambelli_apply(a, b, ctx)
 
 
 def multiply(a: SchubertExpr, b: SchubertExpr) -> SchubertExpr:

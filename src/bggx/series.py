@@ -5,21 +5,30 @@ arithmetic truncates above D. On a concrete Gr(k,q) the default D is the
 dimension k(q-k), above which every class vanishes anyway.
 
 The other half of this module builds universal Chern classes of symmetric
-powers Sym^r of a rank-k bundle: expand the product over size-r multisets
-of Chern roots, rewrite each degree in elementary symmetric polynomials
-(exact Gauss elimination on the monomial-symmetric basis), and substitute
-e_i -> (-1)^i sigma_{1^i} to land back in the Schubert ring.
+powers Sym^r of a rank-k bundle as polynomials in e_i = c_i(E), by three
+exact graded recurrences: power sums p_n from Newton's identities, the
+Chern character ch(Sym^r E) = h_r[e^x] = sum_{lam |- r} p_lam[e^x] / z_lam,
+and c = exp(sum_n (-1)^{n-1} (n-1)! ch_n) (Macdonald, Symmetric Functions
+and Hall Polynomials, Ch. I). Substituting e_i -> (-1)^i sigma_{1^i} lands
+back in the Schubert ring.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
+from operator import add
 
 from .coefpoly import CoefPoly
-from .partitions import normalize
+from .partitions import normalize, partitions_with_max_length
 from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_dual
+
+# Bound on the table and e-monomial caches, far above what `repro` uses
+# (38 tables, 524 e-monomials) and above the 4507 e-monomials of the
+# staircase sweep at k = 5..6, q <= 14.
+_CACHE_SIZE = 8192
 
 
 class GradedSeries:
@@ -250,106 +259,37 @@ def evaluate_coeffs(s: GradedSeries, **assignments) -> GradedSeries:
     return GradedSeries(s.ctx, s.D, comps)
 
 
-# -------------------------------------------- symmetric powers via roots
+# ---------------------------------------- symmetric powers via power sums
+#
+# A polynomial in e_1..e_k is a dict from exponent tuples to Fractions; a
+# graded one is a list of such dicts indexed by degree.
 
-def _poly_mul(a, b, k, cap):
+
+def _mul(a, b):
     out = {}
     for e1, c1 in a.items():
-        d1 = sum(e1)
         for e2, c2 in b.items():
-            if d1 + sum(e2) > cap:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _elementary_poly(i, k):
-    out = {}
-    for sub in combinations(range(k), i):
-        e = [0] * k
-        for s in sub:
-            e[s] = 1
-        out[tuple(e)] = 1
     return out
 
 
-def _monomial_pattern(exps):
-    return tuple(sorted((e for e in exps if e), reverse=True))
+def _add_scaled(acc, c, poly):
+    for e, v in poly.items():
+        acc[e] = acc.get(e, 0) + c * v
 
 
-def _to_m_basis(poly, degree, k):
-    """Collect a symmetric polynomial's degree slice by monomial pattern,
-    verifying the symmetry on the way."""
-    groups = {}
-    for exps, c in poly.items():
-        if sum(exps) != degree:
-            continue
-        groups.setdefault(_monomial_pattern(exps), []).append(c)
-    out = {}
-    for pat, cs in groups.items():
-        distinct = _orbit_size(pat, k)
-        if len(cs) != distinct or any(c != cs[0] for c in cs):
-            raise ArithmeticError(f"expansion not symmetric at pattern {pat}")
-        out[pat] = cs[0]
+def _graded_mul(a, b, cap):
+    out = [{} for _ in range(cap + 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b[: cap + 1 - i]):
+            _add_scaled(out[i + j], 1, _mul(ai, bj))
     return out
 
 
-def _orbit_size(pattern, k):
-    # number of distinct exponent vectors in k variables with this pattern
-    mults = {}
-    for p in pattern:
-        mults[p] = mults.get(p, 0) + 1
-    zeros = k - len(pattern)
-    mults[0] = mults.get(0, 0) + zeros
-    total = factorial(k)
-    for m in mults.values():
-        total //= factorial(m)
-    return total
-
-
-def _partitions_with_parts_at_most(n, maxpart):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_with_parts_at_most(n - first, first):
-            yield (first,) + rest
-
-
-_E_MONOMIAL_M_CACHE: dict = {}
-
-
-def _e_monomial_in_m_basis(kappa, k):
-    """Expansion of prod e_{kappa_i} into the monomial-symmetric basis."""
-    key = (kappa, k)
-    hit = _E_MONOMIAL_M_CACHE.get(key)
-    if hit is not None:
-        return hit
-    poly = {(0,) * k: 1}
-    for part in kappa:
-        poly = _poly_mul(poly, _elementary_poly(part, k), k, sum(kappa))
-    res = _to_m_basis(poly, sum(kappa), k)
-    _E_MONOMIAL_M_CACHE[key] = res
-    return res
-
-
-def _solve_exact(matrix, rhs):
-    """Gauss elimination over Fractions; matrix is square and invertible."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("basis-conversion system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _z(lam):
+    """z_lambda = prod_j j^{m_j} m_j!, the centralizer order of cycle type lam."""
+    return prod(j**m * factorial(m) for j, m in Counter(lam).items())
 
 
 class SymChernTable:
@@ -384,79 +324,72 @@ class SymChernTable:
         }
 
 
-_SYM_TABLE_CACHE: dict = {}
-
-
 def sym_power_chern(k: int, r: int, D=None) -> SymChernTable:
     """Chern class of Sym^r of a rank-k bundle, through degree D."""
     if k < 1 or r < 1:
         raise ValueError("need k >= 1 and r >= 1")
-    rank = comb(k + r - 1, r)
-    if D is None:
-        D = rank
-    key = (k, r, D)
-    hit = _SYM_TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if D is not None and D < 0:
+        raise ValueError("truncation degree must be non-negative")
+    return _sym_power_table(k, r, comb(k + r - 1, r) if D is None else D)
 
-    cap = min(D, rank)
-    # product over size-r multisets of roots of (1 + x_{i1} + ... + x_{ir})
-    poly = {(0,) * k: 1}
-    for multiset in combinations_with_replacement(range(k), r):
-        factor = {(0,) * k: 1}
-        for i in multiset:
-            e = [0] * k
-            e[i] = 1
-            factor[tuple(e)] = factor.get(tuple(e), 0) + 1
-        poly = _poly_mul(poly, factor, k, cap)
 
-    entries = []
-    for d in range(D + 1):
-        if d > cap:
-            entries.append({})
-            continue
-        target = _to_m_basis(poly, d, k)
-        kappas = list(_partitions_with_parts_at_most(d, k))
-        patterns = sorted(
-            {pat for kap in kappas for pat in _e_monomial_in_m_basis(kap, k)}
-        )
-        if set(target) - set(patterns):
-            raise ArithmeticError(f"degree-{d} slice outside the e-span")
-        matrix = []
-        for pat in patterns:
-            matrix.append(
-                [_e_monomial_in_m_basis(kap, k).get(pat, 0) for kap in kappas]
-            )
-        rhs = [target.get(pat, 0) for pat in patterns]
-        sol = _solve_exact(matrix, rhs)
-        slice_ = {}
-        for kap, c in zip(kappas, sol):
-            if c:
-                exps = [0] * k
-                for part in kap:
-                    exps[part - 1] += 1
-                slice_[tuple(exps)] = c
-        entries.append(slice_)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sym_power_table(k, r, D):
+    cap = min(D, comb(k + r - 1, r))
+    unit = (0,) * k
 
-    table = SymChernTable(k, r, D, entries)
-    _SYM_TABLE_CACHE[key] = table
-    return table
+    # Newton: p_n = sum_{i<n} (-1)^{i-1} e_i p_{n-i} + (-1)^{n-1} n e_n
+    p = [{unit: Fraction(k)}]
+    for n in range(1, cap + 1):
+        pn = {}
+        for i in range(1, min(n - 1, k) + 1):
+            for e, c in p[n - i].items():
+                e = e[: i - 1] + (e[i - 1] + 1,) + e[i:]
+                pn[e] = pn.get(e, 0) + (-1) ** (i - 1) * c
+        if n <= k:
+            e = unit[: n - 1] + (1,) + unit[n:]
+            pn[e] = pn.get(e, 0) + (-1) ** (n - 1) * n
+        p.append(pn)
+
+    # ch(Sym^r E) = h_r[e^x] = sum_{lam |- r} p_lam[e^x] / z_lam,
+    # with p_j[e^x] = sum_m j^m p_m / m!
+    pj = {
+        j: [{e: Fraction(j**m, factorial(m)) * c for e, c in p[m].items()}
+            for m in range(cap + 1)]
+        for j in range(1, r + 1)
+    }
+    ch = [{} for _ in range(cap + 1)]
+    for lam in partitions_with_max_length(r, r):
+        term = [{unit: Fraction(1)}]
+        for j in lam:
+            term = _graded_mul(term, pj[j], cap)
+        for d in range(1, cap + 1):
+            _add_scaled(ch[d], Fraction(1, _z(lam)), term[d])
+
+    # c = exp(sum_n L_n), L_n = (-1)^{n-1} (n-1)! ch_n: d c_d = sum_i i L_i c_{d-i}
+    c = [{unit: Fraction(1)}]
+    for d in range(1, cap + 1):
+        cd = {}
+        for i in range(1, d + 1):
+            scale = Fraction((-1) ** (i - 1) * factorial(i), d)
+            _add_scaled(cd, scale, _mul(ch[i], c[d - i]))
+        c.append({e: v for e, v in cd.items() if v})
+
+    return SymChernTable(k, r, D, c + [{} for _ in range(D - cap)])
 
 
 # -------------------------------------------------- back to Schubert land
-
-_E_MONOMIAL_SIGMA_CACHE: dict = {}
-
 
 def e_monomial_sigma(exps, ctx: GrassmannianContext) -> SchubertExpr:
     """prod e_i^{a_i} with e_i -> c_i(S) = (-1)^i sigma_{1^i}, as an expression.
 
     The sign is (-1)^(weighted degree); the product itself is a chain of
     column-class multiplications (vertical strips), which is fast."""
-    key = (ctx, tuple(exps))
-    hit = _E_MONOMIAL_SIGMA_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _e_monomial_sigma(tuple(exps), ctx)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _e_monomial_sigma(exps, ctx):
     expr = SchubertExpr.unit(ctx)
     degree = 0
     for i, a in enumerate(exps, start=1):
@@ -467,9 +400,7 @@ def e_monomial_sigma(exps, ctx: GrassmannianContext) -> SchubertExpr:
                 for nu, m in pieri_dual(lam, i, ctx).terms.items():
                     acc[nu] = acc.get(nu, 0) + c * m
             expr = SchubertExpr(ctx, acc)
-    expr = expr.scale((-1) ** degree)
-    _E_MONOMIAL_SIGMA_CACHE[key] = expr
-    return expr
+    return expr.scale((-1) ** degree)
 
 
 def substitute(table: SymChernTable, ctx: GrassmannianContext, D=None) -> GradedSeries:

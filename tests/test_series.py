@@ -30,9 +30,10 @@ from bggx.series import (
 
 # ---------------------------------------------------------------- oracle
 
-def roots_product(k, r):
+def roots_product(k, r, D):
     """Expand prod over size-r multisets of (1 + x_{i1} + ... + x_{ir})
-    directly in Q[x_1..x_k]. Test-local; independent of the table code."""
+    directly in Q[x_1..x_k], through degree D. Test-local; independent of
+    the table code."""
     poly = {(0,) * k: 1}
     for multiset in combinations_with_replacement(range(k), r):
         factor = {(0,) * k: 1}
@@ -45,7 +46,8 @@ def roots_product(k, r):
         for e1, c1 in poly.items():
             for e2, c2 in factor.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                new[e] = new.get(e, 0) + c1 * c2
+                if sum(e) <= D:
+                    new[e] = new.get(e, 0) + c1 * c2
         poly = {e: c for e, c in new.items() if c}
     return poly
 
@@ -161,6 +163,8 @@ def test_preconditions_raise():
         log_series(not_unit)
     with pytest.raises(ValueError):
         exp_series(GradedSeries.unit(ctx, 4))
+    with pytest.raises(ValueError):
+        sym_power_chern(2, 2, -1)
 
 
 # ------------------------------------------------------- symbolic powers
@@ -188,13 +192,25 @@ def test_pow_symbolic_substitution_matches_concrete_power():
 # ------------------------------------------------- symmetric power table
 
 def test_table_matches_root_expansion_brute_force():
-    for k in range(1, 4):
-        for r in range(1, 5):
-            D = min(4, comb(k + r - 1, r))
-            table = sym_power_chern(k, r, D)
-            direct = roots_product(k, r)
-            direct = {e: c for e, c in direct.items() if sum(e) <= D}
-            assert table_as_root_poly(table) == direct, (k, r)
+    cases = [(k, r, min(4, comb(k + r - 1, r))) for k in range(1, 4) for r in range(1, 5)]
+    for k, r, D in cases + [(4, 2, 10), (4, 3, 6), (5, 2, 6)]:
+        table = sym_power_chern(k, r, D)
+        assert table_as_root_poly(table) == roots_product(k, r, D), (k, r, D)
+
+
+def test_table_on_equal_roots_is_a_power():
+    # E = L^{+k}: e_i -> C(k,i) x^i, and Sym^2 E is C(k+1,2) copies of L^2
+    for k in (5, 6):
+        n = comb(k + 1, 2)
+        table = sym_power_chern(k, 2)
+        assert table.D == n
+        for d, slice_ in enumerate(table.entries):
+            got = 0
+            for exps, c in slice_.items():
+                for i, a in enumerate(exps, start=1):
+                    c *= comb(k, i) ** a
+                got += c
+            assert got == comb(n, d) * 2**d, (k, d)
 
 
 def test_table_r1_is_chern_class_itself():
