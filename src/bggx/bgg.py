@@ -259,42 +259,6 @@ class QuadRoots:
     center: CoefPoly
     radicand: CoefPoly
 
-    def at(self, q0: int):
-        """Numeric roots at a concrete q. Returns (real?, lo, hi) with exact
-        values when the radicand is a perfect square, floats otherwise."""
-        from math import isqrt, sqrt
-
-        c = self.center.evaluate(h=0, q=q0)
-        r = self.radicand.evaluate(h=0, q=q0)
-        if r < 0:
-            return (False, None, None)
-        num, den = r.numerator, r.denominator
-        root_n, root_d = isqrt(num), isqrt(den)
-        if root_n * root_n == num and root_d * root_d == den:
-            half_w = Fraction(root_n, root_d) / 2
-            return (True, c - half_w, c + half_w)
-        w = sqrt(num / den) / 2
-        return (True, float(c) - w, float(c) + w)
-
-    def to_json(self, q0=None):
-        data = {"center": str(self.center), "radicand": str(self.radicand)}
-        if q0 is not None:
-            real, lo, hi = self.at(q0)
-            data["q"] = q0
-            data["real"] = real
-            if real:
-                data["roots"] = [str(lo), str(hi)]
-        return data
-
-
-def g2_roots(k: int) -> QuadRoots:
-    h, q = hq_poly()
-    half = Fraction(1, 2)
-    return QuadRoots(
-        center=q * (k + 1) - comb(k + 2, 2) - half,
-        radicand=8 * (q - k) - 15,
-    )
-
 
 def g11_roots(k: int) -> QuadRoots:
     h, q = hq_poly()

@@ -235,14 +235,20 @@ class HodgeVector:
     def row_for(self, j: int) -> tuple[int, ...]:
         if self.row is not None:
             return self.row
+        if any(len(r) <= j for r in self.table):
+            raise ValueError(f"Hodge table has no column j={j}")
         return tuple(r[j] for r in self.table)
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HodgeVector":
-        return cls(
-            obj["q"],
-            obj["d"],
-            table=obj.get("h"),
-            row=obj.get("row"),
-            symmetric=bool(obj.get("symmetric", False)),
-        )
+        try:
+            return cls(
+                obj["q"],
+                obj["d"],
+                table=obj.get("h"),
+                row=obj.get("row"),
+                symmetric=bool(obj.get("symmetric", False)),
+            )
+        except OverflowError as exc:
+            # a JSON number such as 1e400 loads as float infinity
+            raise ValueError(f"Hodge number out of range: {exc}") from exc

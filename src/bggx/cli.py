@@ -10,9 +10,12 @@ Output contract: `--format json` emits a stable envelope
 {command, parameters, results, status} serialized with sorted keys, so
 repeated runs with identical flags produce identical bytes; wall time
 appears only in the text rendering.  Exit codes: 0 pass (warnings do
-not fail), 1 mathematical mismatch, 2 usage error, 3 input-data error,
-4 internal error (a RuntimeError or ArithmeticError, such as a failed
-rank-bookkeeping guard: a fault of the program, not of the input).
+not fail), 1 mathematical mismatch, 2 usage error (a bad flag value,
+such as --w "1/0"), 3 input-data error (a missing or malformed file, a
+bad number in it, or input too large to rank), 4 internal error (a
+RuntimeError or ArithmeticError, such as a failed rank-bookkeeping
+guard: a fault of the program, not of the input).  Input is checked
+where it is loaded or parsed, so a bad number never surfaces as 4.
 """
 
 from __future__ import annotations
@@ -109,7 +112,10 @@ def _parse_w_columns(text: str) -> list[list[Fraction]]:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty column in --w")
-        columns.append([Fraction(entry.strip()) for entry in chunk.split(",")])
+        try:
+            columns.append([Fraction(entry.strip()) for entry in chunk.split(",")])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in --w column {chunk!r}") from exc
     return columns
 
 
@@ -338,12 +344,12 @@ def _cmd_bounds_check(args) -> RunReport:
     payload = _load_json_file(args.hodge)
     try:
         vector = bounds.HodgeVector.from_json(payload)
+        hrows = [vector.row_for(j) for j in range(vector.d + 1)]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.hodge}: {exc}") from exc
     rows = []
     bad = 0
-    for j in range(vector.d + 1):
-        hrow = vector.row_for(j)
+    for j, hrow in enumerate(hrows):
         for p in range(min(args.r, len(hrow) - 1) + 1):
             value = bounds.alternating_sum(hrow, args.r, args.k, p)
             ok = value >= 0
@@ -676,7 +682,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sym.add_argument("--rank", type=_positive, required=True)
     sym.add_argument("--power", type=_positive, required=True)
     sym.add_argument("--max-degree", type=_nonnegative, required=True)
-    sym.add_argument("--json", action="store_true", dest="json_flag")
     sym.set_defaults(handler=_cmd_chern_sym)
 
     conjecture = top.add_parser("conjecture", help="staircase coefficient checks")
@@ -738,7 +743,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     repro.add_argument("--q-max", type=_positive, default=6)
     repro.add_argument("--n-w", type=_positive, default=20)
-    repro.add_argument("--json", action="store_true", dest="json_flag")
     repro.set_defaults(handler=_cmd_repro)
 
     return parser
@@ -747,8 +751,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "json_flag", False):
-        args.format = "json"
     start = time.perf_counter()
     try:
         report = args.handler(args)

@@ -316,7 +316,9 @@ class HodgeDatum:
             return cls(d, q, dims, action, obj.get("metadata"))
         except DataError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ArithmeticError: an entry "1/0" (ZeroDivisionError), or a JSON
+        # number such as 1e400 that loads as float infinity (OverflowError)
+        except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise DataError(f"malformed datum JSON: {exc}") from exc
 
 
@@ -451,7 +453,7 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
                 continue
             ctr, ctc, ctv = _contraction_coo(k, r - i, t)
             if int(ctv.max()) * int(abs(acc[t, nz]).max()) * (k + 1) >= 2**62:
-                raise ValueError("matrix entries too large for int64 assembly")
+                raise DataError("matrix entries too large for int64 assembly")
             at_key = keys[nz]
             at_val = acc[t, nz].astype(np.int64)
             # kron(C_t, A_t) written out directly in coordinate form
@@ -494,7 +496,7 @@ _DENSE_RANK_LIMIT = 60_000_000
 
 def _as_int_array(mat: sp.csr_matrix) -> np.ndarray:
     if mat.shape[0] * mat.shape[1] > _DENSE_RANK_LIMIT:
-        raise ValueError(
+        raise DataError(
             f"matrix of shape {mat.shape} is too large for a dense rank; "
             "restrict the requested homology window"
         )

@@ -2,11 +2,13 @@
 
 The rank certificates of :mod:`bggx.complexes` are built from these:
 
-* :func:`rank_mod` computes the rank over a prime field F_p using
-  blocked elimination whose trailing updates are float64 matrix
-  products.  With the primes in :data:`MOD_PRIMES` every intermediate
-  value stays below 2**53, so the floating-point arithmetic is exact.
-  A modular rank is always a *lower* bound for the rational rank.
+* :func:`rank_mod` computes the rank over a prime field F_p by blocked
+  elimination: one step, applied at the two panel widths of
+  :data:`_WIDTHS`, eliminates a panel and charges its row operations to
+  the columns right of it with one float64 matrix product.  With the
+  primes in :data:`MOD_PRIMES` every intermediate value stays below
+  2**53, so the floating-point arithmetic is exact.  A modular rank is
+  always a *lower* bound for the rational rank.
 
 * :func:`rref_mod` gives the reduced row echelon form over F_p, hence a
   kernel basis mod p, and :func:`rational_reconstruction` carries
@@ -37,8 +39,10 @@ MOD_PRIMES = (524287, 524269)
 # two above, then six more below 2**19.01 (their product is about 2**152).
 LIFT_PRIMES = MOD_PRIMES + (524261, 524257, 524243, 524231, 524221, 524219)
 
-_PANEL = 256
-_MINI = 16
+# Panel widths of rank_mod's elimination, outermost first: a pivot's own
+# update touches only its 16-column panel, and each panel reaches the
+# columns right of it through one matrix product.
+_WIDTHS = (256, 16)
 _MAX_COLS = 30000
 
 
@@ -107,12 +111,13 @@ def rank_mod(matrix, p: int) -> int:
     """Rank of an integer matrix over F_p.
 
     This is always a lower bound for the rank over Q.  Blocked
-    right-looking elimination carried out entirely in float64 with no
-    pivot normalization and one BLAS product per panel.  For p below
-    2**19.01 and at most 30000 columns, every trailing entry
-    accumulates to at most p + n(p-1)^2 < 2**53 across all panels, so
-    the floating-point arithmetic is exact and only the active panel
-    ever needs canonicalizing.
+    right-looking elimination in float64 with no pivot normalization:
+    one step, :func:`_eliminate`, applied at the panel widths in
+    :data:`_WIDTHS`, each panel reaching the columns right of it by one
+    BLAS product.  For p below 2**19.01 and at most 30000 columns, every
+    trailing entry accumulates to at most p + n(p-1)^2 < 2**53 across
+    all panels, so the floating-point arithmetic is exact and only the
+    active panel ever needs canonicalizing.
     """
     a = np.asarray(matrix, dtype=np.int64)
     if a.ndim != 2:
@@ -121,72 +126,64 @@ def rank_mod(matrix, p: int) -> int:
         return 0
     if a.shape[1] > a.shape[0]:
         a = a.T
-    m, n = a.shape
+    n = a.shape[1]
     if n > _MAX_COLS or n * (p - 1) ** 2 + p >= 2**53:
         raise ValueError("modulus too large for the exact float64 budget")
     a = np.ascontiguousarray(a % p, dtype=np.float64)
+    return _eliminate(a, p, 0, 0, n, _WIDTHS)
 
-    rank = 0
-    c0 = 0
-    while c0 < n and rank < m:
-        c1 = min(c0 + _PANEL, n)
-        pw = c1 - c0
-        panel = a[rank:, c0:c1]  # view: updates land in a directly
-        L = np.zeros((panel.shape[0], pw))
-        npiv = 0
-        # Two-level blocking: per-pivot updates touch only a narrow
-        # mini-panel; the rest of the panel is charged by one small
-        # matrix product per mini, just like the outer trailing block.
-        for mj0 in range(0, pw, _MINI):
-            mj1 = min(mj0 + _MINI, pw)
-            piv0 = npiv
-            for j in range(mj0, mj1):
-                col = panel[npiv:, j]
-                np.mod(col, p, out=col)  # accumulation from every level
-                nz = np.nonzero(col)[0]
-                if nz.size == 0:
-                    continue
-                piv = npiv + int(nz[0])
-                if piv != npiv:
-                    a[[rank + npiv, rank + piv]] = a[[rank + piv, rank + npiv]]
-                    L[[npiv, piv]] = L[[piv, npiv]]
-                pivrow = panel[npiv, j:mj1]
-                np.mod(pivrow, p, out=pivrow)
-                inv = pow(int(panel[npiv, j]), p - 2, p)
-                below = panel[npiv + 1 :, j]
-                mults = (below * inv) % p
-                if mults.any():
-                    panel[npiv + 1 :, j:mj1] -= mults[:, None] * pivrow
-                L[npiv + 1 :, npiv] = mults
-                npiv += 1
-            dn = npiv - piv0
-            if dn and mj1 < pw:
-                rest = panel[piv0:, mj1:]
-                u = rest[:dn]
-                np.mod(u, p, out=u)
-                for i in range(1, dn):
-                    li = L[piv0 + i, piv0 : piv0 + i]
-                    if li.any():
-                        u[i] -= li @ u[:i]
-                        np.mod(u[i], p, out=u[i])
-                rest[dn:] -= L[piv0 + dn :, piv0:npiv] @ u
-        if npiv and c1 < n:
-            # Replay the panel's row operations on the trailing block:
-            # sequential forward substitution canonicalizes the pivot
-            # rows, then one exact dgemm charges everything below; the
-            # result is left unreduced until its own panel comes up.
-            trail = a[rank:, c1:]
-            u = trail[:npiv]
+
+def _eliminate(
+    a: np.ndarray, p: int, r0: int, c0: int, c1: int, widths: tuple[int, ...]
+) -> int:
+    """Eliminate columns c0:c1 of a[r0:] over F_p; return the number of pivots.
+
+    The pivots land in rows r0, r0+1, ...; the multipliers of the pivot in
+    row i are stored below it in column i, as in a compact LU.  With
+    r0 <= c0 (true from the top-level call) column i is the pivot's own
+    column or an eliminated one nothing reads again.  Rows are swapped
+    whole, so multipliers travel with their rows.  With widths left, each
+    chunk of widths[0] columns is eliminated with widths[1:] and its row
+    operations are replayed on the rest of c0:c1: a forward substitution
+    canonicalizes its pivot rows there, and one exact product charges the
+    rows below.  With none left, columns go one at a time and updates
+    stay inside c0:c1.  Either way an entry takes at most one product of
+    two canonical residues per pivot.
+    """
+    r = r0
+    if not widths:
+        for j in range(c0, c1):
+            col = a[r:, j]
+            np.mod(col, p, out=col)  # accumulation from every level
+            nz = np.nonzero(col)[0]
+            if not nz.size:
+                continue
+            if nz[0]:
+                piv = r + int(nz[0])
+                a[[r, piv]] = a[[piv, r]]
+            pivrow = a[r, j:c1]
+            np.mod(pivrow, p, out=pivrow)
+            mults = col[1:] * pow(int(pivrow[0]), p - 2, p) % p
+            a[r + 1 :, r] = mults
+            if mults.any():
+                a[r + 1 :, j + 1 : c1] -= mults[:, None] * pivrow[1:]
+            r += 1
+        return r - r0
+    for b0 in range(c0, c1, widths[0]):
+        b1 = min(b0 + widths[0], c1)
+        k = _eliminate(a, p, r, b0, b1, widths[1:])
+        if k and b1 < c1:
+            mults = a[r:, r : r + k]
+            u = a[r : r + k, b1:c1]
             np.mod(u, p, out=u)
-            for i in range(1, npiv):
-                li = L[i, :i]
+            for i in range(1, k):
+                li = mults[i, :i]
                 if li.any():
                     u[i] -= li @ u[:i]
                     np.mod(u[i], p, out=u[i])
-            trail[npiv:] -= L[npiv:, :npiv] @ u
-        rank += npiv
-        c0 = c1
-    return rank
+            a[r + k :, b1:c1] -= mults[k:] @ u
+        r += k
+    return r - r0
 
 
 def rref_mod(matrix, p: int) -> tuple[np.ndarray, np.ndarray]:

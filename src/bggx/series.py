@@ -25,9 +25,7 @@ from .coefpoly import CoefPoly
 from .partitions import normalize, partitions_with_max_length
 from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_dual
 
-# Bound on the table and e-monomial caches, far above what `repro` uses
-# (38 tables, 524 e-monomials) and above the 4507 e-monomials of the
-# staircase sweep at k = 5..6, q <= 14.
+# Bound on the table cache, far above the 38 tables `repro` uses.
 _CACHE_SIZE = 8192
 
 
@@ -385,11 +383,6 @@ def e_monomial_sigma(exps, ctx: GrassmannianContext) -> SchubertExpr:
 
     The sign is (-1)^(weighted degree); the product itself is a chain of
     column-class multiplications (vertical strips), which is fast."""
-    return _e_monomial_sigma(tuple(exps), ctx)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _e_monomial_sigma(exps, ctx):
     expr = SchubertExpr.unit(ctx)
     degree = 0
     for i, a in enumerate(exps, start=1):

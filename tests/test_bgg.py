@@ -13,13 +13,13 @@ from bggx.bgg import (
     chern_G_concrete,
     g1_closed,
     g2_closed,
-    g2_roots,
     g11_closed,
     g11_roots,
     mu_partition,
     rank_lower_bound,
     verify_conjecture,
 )
+from bggx.bounds import c2_bound
 from bggx.coefpoly import CoefPoly, hq_poly
 from bggx.series import evaluate_coeffs
 
@@ -127,15 +127,17 @@ def test_g11_factors_with_consecutive_integer_roots():
         assert product == g11_closed(k), k
 
 
-def test_g2_roots_radicand_and_reality():
-    r = g2_roots(1)
-    assert r.radicand.evaluate(h=0, q=5) == 17
-    # k = q-1 means radicand 8(q-k)-15 = -7: no real roots
-    real, lo, hi = g2_roots(4).at(5)
-    assert not real and lo is None
-    real, lo, hi = g2_roots(1).at(5)
-    assert real and lo == pytest.approx(6.5 - 17**0.5 / 2)
-    assert hi == pytest.approx(6.5 + 17**0.5 / 2)
+def test_g2_discriminant_matches_c2_radicand():
+    # the roots of g_2 in h are the second-Chern threshold: writing
+    # g_2 = a h^2 + b h + c at a concrete q, the discriminant of the monic
+    # quadratic, (b/a)^2 - 4c/a, is the exact radicand 8(q - k) - 15
+    for k in range(1, 7):
+        g2 = g2_closed(k)
+        for q in range(k + 1, 30):
+            f0, f1, f2 = (g2.evaluate(h=h, q=q) for h in (0, 1, 2))
+            a = (f2 - 2 * f1 + f0) / 2
+            b = f1 - f0 - a
+            assert (b / a) ** 2 - 4 * f0 / a == c2_bound(q, k).radicand, (k, q)
 
 
 def test_g2_leading_coefficient_is_half():

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, exit codes, fault paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +211,7 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
 
 
 def test_repro_seed_reproducible_and_printed(capsys):
-    argv = ["repro", "--q-max", "2", "--n-w", "2", "--seed", "7", "--json"]
+    argv = ["repro", "--q-max", "2", "--n-w", "2", "--seed", "7", "--format", "json"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
@@ -219,6 +220,17 @@ def test_repro_seed_reproducible_and_printed(capsys):
     assert payload["parameters"]["seed"] == 7
     assert payload["results"]["battery"]["seed"] == 7
     assert all(section["ok"] for section in payload["results"]["sections"])
+
+
+def test_repro_json_matches_recorded_bytes(capsys):
+    # the JSON envelope is a stable contract: every rank, count and key of
+    # this run must reproduce the recorded file byte for byte
+    golden = (Path(__file__).parent / "data" / "repro_q3_nw2_seed7.json").read_bytes()
+    code, out, _ = run(
+        capsys, "repro", "--format", "json", "--q-max", "3", "--n-w", "2", "--seed", "7"
+    )
+    assert code == 0
+    assert out.encode() == golden
 
 
 def test_repro_default_seed_in_text(capsys):
@@ -246,3 +258,44 @@ def test_internal_errors_exit_4_without_traceback(monkeypatch, capsys, fault):
     assert out == ""
     assert f"internal error: {type(fault).__name__}: {fault}" in err
     assert "Traceback" not in err
+
+
+def _datum(entry: str) -> str:
+    """A one-form datum on a curve whose single action entry is `entry`."""
+    return (
+        '{"d": 1, "q": 1, "dims": [[1, 0], [1, 0]], '
+        '"action": [{"a": 1, "i": 0, "j": 0, "matrix": [[' + entry + "]]}]}"
+    )
+
+
+_COMPLEX = ("complex", "check", "--input", "FILE", "--r", "1", "--j", "0", "--w")
+_BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, dense_limit, code",
+    [
+        (_COMPLEX + ("1",), _datum('"1/0"'), None, 3),
+        (_COMPLEX + ("1",), _datum("1e400"), None, 3),
+        (_COMPLEX + ("1",), _datum(str(10**40)), None, 3),
+        (_COMPLEX + ("1",), _datum("1"), 0, 3),
+        (_COMPLEX + ("1/0",), _datum("1"), None, 2),
+        (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, 1e400], [1, 0]]}', None, 3),
+        (_BOUNDS, '{"q": 2, "d": 1, "h": [[1]]}', None, 3),
+    ],
+    ids=[
+        "datum-entry-1/0", "datum-entry-1e400", "datum-entry-too-large-for-int64",
+        "dense-rank-size-refusal", "w-entry-1/0", "hodge-1e400", "hodge-table-short-for-d",
+    ],
+)
+def test_bad_numbers_short_tables_and_size_refusals_exit_codes(
+    tmp_path, monkeypatch, capsys, argv, payload, dense_limit, code
+):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    if dense_limit is not None:
+        monkeypatch.setattr(cli.complexes, "_DENSE_RANK_LIMIT", dense_limit)
+    got, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -169,3 +169,63 @@ def test_rational_reconstruction_reports_failure():
     assert rational_reconstruction(np.array([0, 1, missing]), m) is None
     num, den = rational_reconstruction(np.array([0, 1, m - 1]), m)
     assert num.tolist() == [0, 1, -1] and den.tolist() == [1, 1, 1]
+
+
+def unit_lu(rng, m, n, rank, n_zero_cols):
+    """L @ U with rank `rank` over Q and mod every prime, Bareiss-cheap.
+
+    L is m x m unit lower triangular with two small entries per column
+    below the diagonal; U is m x n in echelon form with `rank` unit
+    pivots and `n_zero_cols` all-zero columns.  Every leading minor along
+    the pivots is 1, so Bareiss never swaps or rescales and only updates
+    the two rows a column of L reaches: rank_exact stays fast past 512
+    columns.
+    """
+    low = np.eye(m, dtype=np.int64)
+    for t in range(m - 1):
+        below = rng.choice(np.arange(t + 1, m), size=min(2, m - t - 1), replace=False)
+        low[below, t] = rng.integers(-3, 4, size=below.size)
+    zero_cols = rng.choice(n, size=n_zero_cols, replace=False)
+    live = np.setdiff1d(np.arange(n), zero_cols)
+    pivots = np.sort(rng.choice(live, size=rank, replace=False))
+    up = np.zeros((m, n), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        up[i, c] = 1
+        up[i, c + 1 :] = rng.integers(-3, 4, size=n - c - 1)
+    up[:, zero_cols] = 0
+    return low @ up
+
+
+@pytest.mark.parametrize(
+    "m, n, rank, n_zero_cols",
+    [
+        (15, 15, 15, 0),  # square, full rank: the last pivot is in the last row
+        (16, 16, 16, 0),
+        (17, 17, 17, 0),
+        (21, 16, 12, 2),
+        (23, 17, 14, 1),
+        (255, 255, 255, 0),
+        (256, 256, 256, 0),
+        (257, 257, 257, 0),
+        (260, 255, 230, 5),
+        (262, 257, 240, 3),
+        (530, 520, 497, 4),
+    ],
+)
+def test_rank_mod_agrees_with_rank_exact_at_panel_boundaries(m, n, rank, n_zero_cols):
+    # widths 15/16/17 and 255/256/257 straddle the two elimination
+    # widths; 520 runs three outer panels, the last one partial
+    rng = np.random.default_rng(m * 1000 + n)
+    a = unit_lu(rng, m, n, rank, n_zero_cols)
+    exact = rank_exact(a)
+    assert exact == rank
+    # hide the echelon structure: pivots now need row swaps
+    b = a[rng.permutation(m)][:, rng.permutation(n)]
+    p = MOD_PRIMES[0]
+    # an entry equal to p is zero mod p: the same matrix over F_p
+    zero = tuple(np.argwhere(b == 0)[0])
+    b_p = b.copy()
+    b_p[zero] = p
+    for mat in (b, b.T, b_p, b_p.T):
+        assert rank_mod(mat, p) == exact
+    assert rank_mod(b, MOD_PRIMES[1]) == exact
