@@ -252,18 +252,7 @@ def g11_closed(k: int) -> CoefPoly:
     )
 
 
-@dataclass(frozen=True)
-class QuadRoots:
-    """Roots center +- sqrt(radicand)/2 of a monic-in-h/2 quadratic."""
-
-    center: CoefPoly
-    radicand: CoefPoly
-
-
-def g11_roots(k: int) -> QuadRoots:
-    h, q = hq_poly()
-    half = Fraction(1, 2)
-    return QuadRoots(
-        center=q * (k + 1) - comb(k + 2, 2) + half,
-        radicand=CoefPoly.constant(1, ("h", "q")),
-    )
+def g11_roots(k: int) -> CoefPoly:
+    """Center c(q) of the roots c - 1/2, c + 1/2 of g11_closed(k) in h."""
+    _, q = hq_poly()
+    return q * (k + 1) - comb(k + 2, 2) + Fraction(1, 2)

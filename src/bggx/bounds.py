@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Mapping, NamedTuple, Sequence
 
+from .complexes import whole_number
+
 
 def binomial(a: int, b: int) -> int:
     """Generalized binomial coefficient via the falling factorial.
@@ -60,7 +62,7 @@ def alternating_sum(hrow: Sequence[int], r: int, k: int, p: int) -> int:
     if p < 0:
         raise ValueError("need p >= 0")
     return sum(
-        (-1) ** (p - i) * binomial(r - i + k - 1, k - 1) * int(hrow[i])
+        (-1) ** (p - i) * binomial(r - i + k - 1, k - 1) * whole_number(hrow[i])
         for i in range(p + 1)
     )
 
@@ -208,12 +210,12 @@ class HodgeVector:
     __slots__ = ("d", "q", "table", "row")
 
     def __init__(self, q: int, d: int, table=None, row=None, symmetric: bool = False):
-        self.q = int(q)
-        self.d = int(d)
+        self.q = whole_number(q)
+        self.d = whole_number(d)
         if (table is None) == (row is None):
             raise ValueError("give exactly one of table or row")
         if table is not None:
-            tab = tuple(tuple(int(x) for x in r) for r in table)
+            tab = tuple(tuple(whole_number(x) for x in r) for r in table)
             if any(x < 0 for r in tab for x in r):
                 raise ValueError("negative Hodge number")
             if tab[0][0] != 1:
@@ -226,7 +228,7 @@ class HodgeVector:
             self.table = tab
             self.row = None
         else:
-            vals = tuple(int(x) for x in row)
+            vals = tuple(whole_number(x) for x in row)
             if any(x < 0 for x in vals):
                 raise ValueError("negative Hodge number")
             self.table = None

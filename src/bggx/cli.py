@@ -527,9 +527,9 @@ def _g_poly_failures() -> list[str]:
         closed_ok = ring11 == bgg.g11_closed(k) if k >= 2 else ring11 == 0
         if not closed_ok:
             failures.append(f"g_11 closed form, k={k}")
-        roots = bgg.g11_roots(k)
-        beta_plus = roots.center + Fraction(1, 2)
-        beta_minus = roots.center - Fraction(1, 2)
+        center = bgg.g11_roots(k)
+        beta_plus = center + Fraction(1, 2)
+        beta_minus = center - Fraction(1, 2)
         product = (h - beta_plus) * (h - beta_minus) * Fraction(1, 2)
         if beta_plus - beta_minus != 1 or product != bgg.g11_closed(k):
             failures.append(f"g_11 factorization, k={k}")

@@ -51,13 +51,20 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (as opposed to usage errors)."""
 
 
+def whole_number(x) -> int:
+    """x as an int, never truncated: 2 and 2.0 give 2, but 1.9 is a DataError."""
+    if type(x) is not int and int(x) != Fraction(x):
+        raise DataError(f"{x!r} is not an integer")
+    return int(x)
+
+
 class SparseRat:
     """Sparse exact-rational matrix: a shape plus the nonzero entries."""
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries: Mapping | None = None):
-        m, n = int(shape[0]), int(shape[1])
+        m, n = whole_number(shape[0]), whole_number(shape[1])
         if m < 0 or n < 0:
             raise ValueError("negative matrix dimension")
         self.shape = (m, n)
@@ -67,7 +74,7 @@ class SparseRat:
             if not (0 <= r < m and 0 <= c < n):
                 raise ValueError(f"entry ({r},{c}) outside shape {self.shape}")
             if v:
-                clean[(int(r), int(c))] = v
+                clean[(whole_number(r), whole_number(c))] = v
         self.entries = clean
 
     @classmethod
@@ -191,11 +198,11 @@ class HodgeDatum:
     __slots__ = ("d", "q", "dims", "action", "metadata", "_int_action")
 
     def __init__(self, d, q, dims, action, metadata=None):
-        self.d = int(d)
-        self.q = int(q)
+        self.d = whole_number(d)
+        self.q = whole_number(q)
+        table = tuple(tuple(whole_number(x) for x in row) for row in dims)
         if self.d < 1 or self.q < 1:
             raise DataError("need d >= 1 and q >= 1")
-        table = tuple(tuple(int(x) for x in row) for row in dims)
         if len(table) != self.d + 1 or any(len(r) != self.d + 1 for r in table):
             raise DataError("dims must be a (d+1) x (d+1) table")
         if any(x < 0 for row in table for x in row):
@@ -208,7 +215,7 @@ class HodgeDatum:
 
         acts: dict[tuple[int, int, int], SparseRat] = {}
         for (a, i, j), mat in dict(action).items():
-            a, i, j = int(a), int(i), int(j)
+            a, i, j = whole_number(a), whole_number(i), whole_number(j)
             if not (1 <= a <= self.q):
                 raise DataError(f"action index a={a} outside 1..q")
             if not (0 <= i < self.d and 0 <= j <= self.d):
@@ -278,6 +285,18 @@ class HodgeDatum:
                             return (a, b, i, j)
         return None
 
+    def tensor(self, other: "HodgeDatum") -> "HodgeDatum":
+        """Kunneth product: the datum of X x Y from the data of X and Y.
+
+        dims are the convolution of the factors' dims.  The basis of the
+        piece (I, J) runs over the pieces (i1, j1) of the first factor in
+        lexicographic order, and within each over pairs of basis vectors,
+        first-factor index major.  A form v_a of the first factor acts as
+        M_a (x) 1; a form v_b of the second, numbered self.q + b, acts as
+        (-1)^(i1 + j1) 1 (x) M_b.  The metadata is left empty.
+        """
+        return _kunneth(self, other)
+
     def to_json(self) -> dict:
         action = []
         for (a, i, j) in sorted(self.action):
@@ -301,25 +320,75 @@ class HodgeDatum:
     @classmethod
     def from_json(cls, obj: Mapping) -> "HodgeDatum":
         try:
-            d, q = int(obj["d"]), int(obj["q"])
             dims = obj["dims"]
             action = {}
             for item in obj.get("action", ()):
-                a, i, j = int(item["a"]), int(item["i"]), int(item["j"])
+                a, i, j = (whole_number(item[key]) for key in "aij")
                 if "matrix" in item:
                     mat = SparseRat.from_dense(item["matrix"])
                 else:
-                    shape = (int(dims[i + 1][j]), int(dims[i][j]))
-                    ent = {(int(r), int(c)): Fraction(v) for r, c, v in item["entries"]}
-                    mat = SparseRat(shape, ent)
+                    ent = {(r, c): Fraction(v) for r, c, v in item["entries"]}
+                    mat = SparseRat((dims[i + 1][j], dims[i][j]), ent)
                 action[(a, i, j)] = mat
-            return cls(d, q, dims, action, obj.get("metadata"))
+            return cls(obj["d"], obj["q"], dims, action, obj.get("metadata"))
         except DataError:
             raise
         # ArithmeticError: an entry "1/0" (ZeroDivisionError), or a JSON
         # number such as 1e400 that loads as float infinity (OverflowError)
         except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise DataError(f"malformed datum JSON: {exc}") from exc
+
+
+def _kunneth(first: HodgeDatum, second: HodgeDatum, order=None) -> HodgeDatum:
+    """first.tensor(second), written straight into another basis if asked:
+    order maps each piece (I, J) to lists (pos, neg), and the vector at
+    position x of the Kunneth order becomes vector pos[x] of the result,
+    negated when neg[x] is 1.
+    """
+    d = first.d + second.d
+    dims = [[0] * (d + 1) for _ in range(d + 1)]
+    pieces1 = list(itertools.product(range(first.d + 1), repeat=2))
+    pieces2 = list(itertools.product(range(second.d + 1), repeat=2))
+    offset = {}  # (I, J, i1, j1) -> first position of that block in piece (I, J)
+    for (i1, j1), (i2, j2) in itertools.product(pieces1, pieces2):
+        offset[(i1 + i2, j1 + j2, i1, j1)] = dims[i1 + i2][j1 + j2]
+        dims[i1 + i2][j1 + j2] += first.dims[i1][j1] * second.dims[i2][j2]
+    if order is None:
+        order = {
+            (I, J): (range(n), [0] * n) for I, row in enumerate(dims) for J, n in enumerate(row)
+        }
+    entries: dict[tuple[int, int, int], dict] = {}
+
+    for (a, i1, j1), mat in first.action.items():
+        values = [(r, c, (v, -v)) for (r, c), v in mat.entries.items()]
+        for i2, j2 in pieces2:
+            I, J, n2 = i1 + i2, j1 + j2, second.dims[i2][j2]
+            src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1 + 1, j1)]
+            (pr, nr), (pc, nc) = order[(I + 1, J)], order[(I, J)]
+            out = entries.setdefault((a, I, J), {})
+            for r, c, pm in values:
+                for s in range(n2):
+                    x, y = dst + r * n2 + s, src + c * n2 + s
+                    out[(pr[x], pc[y])] = pm[nr[x] ^ nc[y]]
+
+    for (b, i2, j2), mat in second.action.items():
+        values = [(r, c, (v, -v)) for (r, c), v in mat.entries.items()]
+        n2, m2 = second.dims[i2][j2], second.dims[i2 + 1][j2]
+        for i1, j1 in pieces1:
+            I, J, koszul = i1 + i2, j1 + j2, (i1 + j1) % 2
+            src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1, j1)]
+            (pr, nr), (pc, nc) = order[(I + 1, J)], order[(I, J)]
+            out = entries.setdefault((first.q + b, I, J), {})
+            for r, c, pm in values:
+                for s in range(first.dims[i1][j1]):
+                    x, y = dst + s * m2 + r, src + s * n2 + c
+                    out[(pr[x], pc[y])] = pm[koszul ^ nr[x] ^ nc[y]]
+
+    action = {}
+    for (a, I, J), ent in entries.items():
+        action[(a, I, J)] = mat = SparseRat((dims[I + 1][J], dims[I][J]))
+        mat.entries = ent  # nonzero factor entries up to sign, at positions in range
+    return HodgeDatum(d, first.q + second.q, dims, action)
 
 
 def _sym_basis(k: int, m: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,10 @@
-"""Concrete Hodge data: the abelian exterior-algebra model and the
-product-of-genus-3-curves example, plus the exactness battery that
-exercises the complexes against the expected theorem bound.
+"""Concrete Hodge data, plus the exactness battery that exercises the
+complexes against the expected theorem bound.
+
+Both worked models are Kunneth products of curve data built by
+:meth:`HodgeDatum.tensor`: the abelian exterior-algebra model is E^q
+for an elliptic curve E (relabelled into the wedge-monomial basis), and
+the curves example is C_3 x C_3 for two genus-3 curves.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .complexes import (
     HodgeDatum,
     SparseRat,
     SubspaceW,
+    _kunneth,
     build_complex,
     exactness_prefix,
 )
@@ -33,167 +38,99 @@ def expected_exactness(d: int, k: int, j: int) -> int:
     return max(0, d - k - j + 1)
 
 
+def curve_datum(g: int, pairing) -> HodgeDatum:
+    """Datum of a curve of genus g >= 1 in a basis v_1..v_g of its 1-forms.
+
+    Wedging with v_t sends the generator of H^0(O) to v_t, and H^1(O)
+    to H^1(omega) by row t of pairing, an invertible g x g rational
+    matrix: the duality pairing in the chosen basis of H^1(O).
+    """
+    rows = [[Fraction(x) for x in row] for row in pairing]
+    if len(rows) != g or any(len(row) != g for row in rows) or rank_exact(rows) != g:
+        raise ValueError(f"pairing must be an invertible {g}x{g} matrix")
+    action = {}
+    for t in range(g):
+        action[(t + 1, 0, 0)] = SparseRat((g, 1), {(t, 0): 1})
+        action[(t + 1, 0, 1)] = SparseRat((1, g), {(0, s): rows[t][s] for s in range(g)})
+    return HodgeDatum(1, g, [[1, g], [g, 1]], action)
+
+
+def _wedge_order(q: int) -> dict:
+    """Signed permutation from abelian_model(q - 1) (x) E to the wedge basis.
+
+    H^J(Omega^I) of E^q has the basis (S, T), the sets of factors that
+    contribute dz and dzbar, at lex-rank(S) * C(q, J) + lex-rank(T), with
+    sign (-1)^#{b < c : b in T, c in S} against the Kunneth basis of E^q.
+    Adding the last factor with the piece (i, j) of E to (S1, T1) thus
+    multiplies the sign by (-1)^(i * |T1|).
+    """
+    index = [{S: x for x, S in enumerate(itertools.combinations(range(q), n))}
+             for n in range(q + 1)]
+    # lex-ranks of the n-subsets of range(q - 1), with q - 1 added if add = 1
+    ranks = {
+        (n, add): [index[n + add][S + (q - 1,) * add]
+                   for S in itertools.combinations(range(q - 1), n)]
+        for n in range(q) for add in (0, 1)
+    }
+    order = {}
+    for I, J in itertools.product(range(q + 1), repeat=2):
+        pos, neg, width = [], [], comb(q, J)
+        for i, j in itertools.product((1, 0), repeat=2):  # Kunneth block order
+            if 0 <= I - i < q and 0 <= J - j < q:
+                rows, cols = ranks[(I - i, i)], ranks[(J - j, j)]
+                pos += [s * width + t for s in rows for t in cols]
+                neg += [i * (J - j) % 2] * (len(rows) * len(cols))
+        order[(I, J)] = (pos, neg)
+    return order
+
+
 def abelian_model(q: int) -> HodgeDatum:
     """Exterior-algebra datum of a q-dimensional abelian variety.
 
-    H^j(Omega^i) is realized as Lambda^i V (x) Lambda^j Vbar with the
-    wedge-monomial basis; v_a acts by left exterior multiplication on
-    the first factor (Koszul sign = parity of the number of indices in
-    the monomial smaller than a) and by the identity on the second.
+    Built as E^q for an elliptic curve E = curve_datum(1, [[1]]): one
+    Kunneth product per factor, each written directly into the
+    wedge-monomial basis of H^j(Omega^i) = Lambda^i V (x) Lambda^j Vbar
+    (see _wedge_order).  There v_a acts by left exterior multiplication
+    on the first factor (Koszul sign = parity of the number of indices
+    in the monomial smaller than a) and by the identity on the second.
     """
     if q < 1:
         raise ValueError("need q >= 1")
-    d = q
-    dims = [[comb(q, i) * comb(q, j) for j in range(d + 1)] for i in range(d + 1)]
-
-    wedge_index = [
-        {mono: pos for pos, mono in enumerate(itertools.combinations(range(q), i))}
-        for i in range(q + 1)
-    ]
-    action = {}
-    for a in range(1, q + 1):
-        for i in range(d):
-            # left multiplication on Lambda^i V
-            ins = {}
-            for mono, col in wedge_index[i].items():
-                if (a - 1) in mono:
-                    continue
-                smaller = sum(1 for s in mono if s < a - 1)
-                target = tuple(sorted(mono + (a - 1,)))
-                ins[(wedge_index[i + 1][target], col)] = (-1) ** smaller
-            if not ins:
-                continue
-            for j in range(d + 1):
-                nj = comb(q, j)
-                ent = {
-                    (rr * nj + t, cc * nj + t): v
-                    for (rr, cc), v in ins.items()
-                    for t in range(nj)
-                }
-                action[(a, i, j)] = SparseRat((dims[i + 1][j], dims[i][j]), ent)
-    return HodgeDatum(
-        d,
-        q,
-        dims,
-        action,
-        metadata={
-            "model": "abelian variety, exterior algebra on q translation-invariant forms",
-            "nondegeneracy": "every subspace W is non-degenerate "
-            "(translation-invariant 1-forms have no zeros)",
-        },
+    datum = curve = curve_datum(1, [[1]])
+    for n in range(2, q + 1):
+        datum = _kunneth(datum, curve, _wedge_order(n))
+    datum.metadata.update(
+        model="abelian variety, exterior algebra on q translation-invariant forms",
+        nondegeneracy="every subspace W is non-degenerate "
+        "(translation-invariant 1-forms have no zeros)",
     )
-
-
-# Curve-level graded pieces for one genus-3 curve: positions (i, j) with
-# i, j in {0, 1}; dims 1, 3, 3, 1.  Wedging with the t-th holomorphic
-# form sends the generator of H^0(O) to that form, and pairs H^1(O)
-# against H^1(omega) through the chosen duality matrix.
-_CURVE_DIMS = {(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 1}
-
-
-def _curve_wedge(t: int, i: int, j: int, pairing) -> SparseRat | None:
-    if i != 0:
-        return None  # Omega^2 of a curve is zero
-    if j == 0:
-        return SparseRat((3, 1), {(t, 0): 1})
-    return SparseRat((1, 3), {(0, s): pairing[t][s] for s in range(3)})
+    return datum
 
 
 def curves_product_model(h1_basis=None) -> tuple[HodgeDatum, SubspaceW]:
     """Datum for a product of two genus-3 curves, with its subspace W.
 
-    Graded pieces come from tensor products of the curve-level groups;
-    the action of the a-th basis 1-form goes through the first factor
-    for a <= 3 and through the second with the Koszul sign
-    (-1)^(total degree of the first-factor piece) for a >= 4.  W is
-    spanned by the three sums (a-th form on factor one) + (a-th form
-    on factor two).
+    The datum is curve_datum(3, P0).tensor(curve_datum(3, P1)): forms
+    1..3 act through the first factor, forms 4..6 through the second
+    with the Koszul sign.  W is spanned by the three sums (t-th form on
+    factor one) + (t-th form on factor two).
 
     h1_basis, when given, is a pair of invertible 3x3 rational
-    matrices replacing the duality-dual basis of each curve's H^1(O);
-    homology dimensions must not depend on that choice.
+    matrices (P0, P1) replacing the duality-dual basis of each curve's
+    H^1(O); homology dimensions must not depend on that choice.
     """
-    pairings = []
-    for which in range(2):
-        if h1_basis is None:
-            pairings.append([[Fraction(int(t == s)) for s in range(3)] for t in range(3)])
-        else:
-            p = [[Fraction(x) for x in row] for row in h1_basis[which]]
-            if len(p) != 3 or any(len(row) != 3 for row in p) or rank_exact(p) != 3:
-                raise ValueError("h1_basis entries must be invertible 3x3 matrices")
-            pairings.append(p)
-
-    d = 2
-    q = 6
-    pieces = [(i, j) for i in (0, 1) for j in (0, 1)]
-
-    def blocks(I, J):
-        """Kunneth blocks of H^J(Omega^I), ordered by the first factor."""
-        out = []
-        for (i1, j1) in pieces:
-            i2, j2 = I - i1, J - j1
-            if (i2, j2) in _CURVE_DIMS:
-                out.append((i1, j1, i2, j2))
-        return out
-
-    def offsets(I, J):
-        offs, pos = {}, 0
-        for blk in blocks(I, J):
-            offs[blk] = pos
-            i1, j1, i2, j2 = blk
-            pos += _CURVE_DIMS[(i1, j1)] * _CURVE_DIMS[(i2, j2)]
-        return offs, pos
-
-    dims = [[offsets(I, J)[1] for J in range(d + 1)] for I in range(d + 1)]
-
-    action = {}
-    for a in range(1, q + 1):
-        through_first = a <= 3
-        t = (a - 1) if through_first else (a - 4)
-        for I in range(d):
-            for J in range(d + 1):
-                src_off, src_dim = offsets(I, J)
-                dst_off, dst_dim = offsets(I + 1, J)
-                ent = {}
-                for (i1, j1, i2, j2), off in src_off.items():
-                    n1, n2 = _CURVE_DIMS[(i1, j1)], _CURVE_DIMS[(i2, j2)]
-                    if through_first:
-                        w = _curve_wedge(t, i1, j1, pairings[0])
-                        tgt = (i1 + 1, j1, i2, j2)
-                        if w is None or tgt not in dst_off:
-                            continue
-                        base = dst_off[tgt]
-                        for (rr, cc), v in w.entries.items():
-                            for s in range(n2):
-                                ent[(base + rr * n2 + s, off + cc * n2 + s)] = v
-                    else:
-                        w = _curve_wedge(t, i2, j2, pairings[1])
-                        tgt = (i1, j1, i2 + 1, j2)
-                        if w is None or tgt not in dst_off:
-                            continue
-                        base = dst_off[tgt]
-                        sign = (-1) ** (i1 + j1)
-                        m2 = _CURVE_DIMS[(i2 + 1, j2)]
-                        for (rr, cc), v in w.entries.items():
-                            for s in range(n1):
-                                ent[(base + s * m2 + rr, off + s * n2 + cc)] = sign * v
-                if ent:
-                    action[(a, I, J)] = SparseRat((dst_dim, src_dim), ent)
-
-    datum = HodgeDatum(
-        d,
-        q,
-        dims,
-        action,
-        metadata={
-            "model": "product of two genus-3 curves (plane quartics)",
-            "W": "spanned by w_t = (t-th form, first factor) + (t-th form, second factor)",
-            "degeneracy_locus_Z1": "empty",
-            "degeneracy_locus_Z2": "16 points",
-            "sections_of_first_homology_sheaf": "C^48 = 16 stalks x C^3 "
-            "(declared, not recomputed here)",
-        },
-    )
+    if h1_basis is None:
+        h1_basis = [[[int(t == s) for s in range(3)] for t in range(3)]] * 2
+    first, second = (curve_datum(3, p) for p in h1_basis)
+    datum = first.tensor(second)
+    datum.metadata.update({
+        "model": "product of two genus-3 curves (plane quartics)",
+        "W": "spanned by w_t = (t-th form, first factor) + (t-th form, second factor)",
+        "degeneracy_locus_Z1": "empty",
+        "degeneracy_locus_Z2": "16 points",
+        "sections_of_first_homology_sheaf": "C^48 = 16 stalks x C^3 "
+        "(declared, not recomputed here)",
+    })
     viol = datum.check_anticommutation()
     if viol is not None:
         raise RuntimeError(f"sign convention bug: anticommutation fails at {viol}")

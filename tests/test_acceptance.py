@@ -67,9 +67,9 @@ def test_criterion_2_g_polynomials(capsys):
         # rank 1 carries no two-row classes, so the ring coefficient is 0
         if not (ring11 == g11_closed(k) if k >= 2 else ring11 == 0):
             bad.append(f"g_11, k={k}")
-        roots = g11_roots(k)
-        beta_plus = roots.center + half
-        beta_minus = roots.center - half
+        center = g11_roots(k)
+        beta_plus = center + half
+        beta_minus = center - half
         if beta_plus - beta_minus != 1:
             bad.append(f"g_11 root gap, k={k}")
         if (h - beta_plus) * (h - beta_minus) * half != g11_closed(k):

@@ -119,9 +119,9 @@ def test_g2_g11_match_closed_forms():
 def test_g11_factors_with_consecutive_integer_roots():
     h, _ = hq_poly()
     for k in range(1, 7):
-        roots = g11_roots(k)
-        beta_plus = roots.center + Fraction(1, 2)
-        beta_minus = roots.center - Fraction(1, 2)
+        center = g11_roots(k)
+        beta_plus = center + Fraction(1, 2)
+        beta_minus = center - Fraction(1, 2)
         assert beta_plus - beta_minus == 1
         product = (h - beta_plus) * (h - beta_minus) * Fraction(1, 2)
         assert product == g11_closed(k), k

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from bggx.bgg import chern_F
 from bggx.bounds import (
     Bound,
     HodgeVector,
@@ -57,6 +58,8 @@ def test_alternating_sum_examples():
     assert alternating_sum(row4, 2, 2, 2) == 3 * 1 - 2 * 4 + 1 * 6 == 1
     with pytest.raises(ValueError):
         alternating_sum(row3, 2, 2, 9)
+    with pytest.raises(ValueError):  # a Hodge number is never truncated
+        alternating_sum([1, 0.5], 1, 1, 1)
 
 
 def test_corollary_chain_reproduces_hodge_numbers():
@@ -149,6 +152,14 @@ def test_truncation_and_hypothetical_bounds():
         for q in range(k + 1, 30):
             assert k * q - comb(k + 1, 2) >= truncation_bound(q, k)
     assert truncation_bound(5, 2) == Fraction(3 * 5, 2) - Fraction(4 * 3, 6) == Fraction(11, 2)
+
+
+def test_top_chern_premise_fails_for_k_2_to_4():
+    # hypothetical_top_chern_bound's docstring: the top-degree (full box)
+    # coefficient of c(F) vanishes for k = 2, 3, 4
+    for k in (2, 3, 4):
+        for q in range(k + 2, k + 5):
+            assert chern_F(k, q).coefficient((q - k,) * k) == 0, (k, q)
 
 
 def test_conjecture_rank_bound():

@@ -282,10 +282,13 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         (_COMPLEX + ("1/0",), _datum("1"), None, 2),
         (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, 1e400], [1, 0]]}', None, 3),
         (_BOUNDS, '{"q": 2, "d": 1, "h": [[1]]}', None, 3),
+        (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, 0.9], [1.7, 0]]}', None, 3),
+        (_COMPLEX + ("1",), '{"d": 1, "q": 1, "dims": [[1, 1.9], [1, 1]]}', None, 3),
     ],
     ids=[
         "datum-entry-1/0", "datum-entry-1e400", "datum-entry-too-large-for-int64",
         "dense-rank-size-refusal", "w-entry-1/0", "hodge-1e400", "hodge-table-short-for-d",
+        "hodge-non-integer", "datum-dims-non-integer",
     ],
 )
 def test_bad_numbers_short_tables_and_size_refusals_exit_codes(

@@ -1,6 +1,7 @@
 """Derivative complexes: construction, homology, invariance, faults."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -8,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bggx import complexes
@@ -25,7 +26,7 @@ from bggx.complexes import (
     exactness_prefix,
     homology_dims,
 )
-from bggx.models import abelian_model, curves_product_model, random_subspace
+from bggx.models import abelian_model, curve_datum, curves_product_model, random_subspace
 from bggx.ratlinalg import LIFT_PRIMES, MOD_PRIMES, rank_exact
 
 
@@ -78,6 +79,44 @@ def test_hodge_datum_validation():
         HodgeDatum(2, 2, dims, {(3, 0, 0): SparseRat((2, 1), {})})  # a out of range
     with pytest.raises(DataError):
         HodgeDatum(2, 2, dims, {(1, 0, 0): SparseRat((3, 1), {})})  # bad shape
+    # numbers are read exactly, never truncated
+    with pytest.raises(DataError):
+        HodgeDatum(1, 1, [[1, 1.9], [1, 1]], {})
+    with pytest.raises(DataError):
+        HodgeDatum(1.5, 1, [[1, 1], [1, 1]], {})
+    with pytest.raises(DataError):
+        HodgeDatum(2, 2, dims, {(1, 0.5, 0): SparseRat((2, 1), {})})
+    assert HodgeDatum(1.0, 1, [[1, 1.0], [1, 1]], {}).dims == ((1, 1), (1, 1))
+
+
+@st.composite
+def _curves(draw):
+    """curve_datum(g, P) for g in 1..3 and a random invertible integer P."""
+    g = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+    pairing = draw(st.lists(row, min_size=g, max_size=g))
+    assume(rank_exact(pairing) == g)
+    return curve_datum(g, pairing)
+
+
+def _convolve(a, b):
+    out = [[0] * (len(a) + len(b) - 1) for _ in range(len(a) + len(b) - 1)]
+    for (i1, row1), (i2, row2) in itertools.product(enumerate(a), enumerate(b)):
+        for (j1, x), (j2, y) in itertools.product(enumerate(row1), enumerate(row2)):
+            out[i1 + i2][j1 + j2] += x * y
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=25, deadline=None)
+@given(factors=st.lists(_curves(), min_size=2, max_size=3))
+def test_tensor_of_curves_anticommutes_with_convolved_dims(factors):
+    product, dims = factors[0], factors[0].dims
+    for factor in factors[1:]:
+        product, dims = product.tensor(factor), _convolve(dims, factor.dims)
+    assert product.check_anticommutation() is None
+    assert product.dims == dims
+    assert product.d == len(factors)
+    assert product.dims[1][0] == product.q == sum(f.q for f in factors)
 
 
 def test_hodge_datum_json_round_trip_dense_and_sparse():

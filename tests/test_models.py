@@ -1,5 +1,7 @@
 """Concrete models and the exactness battery."""
 
+import hashlib
+import json
 import random
 from math import comb
 
@@ -22,6 +24,38 @@ def test_expected_exactness_values():
     assert expected_exactness(6, 4, 1) == 2
     for d in range(1, 7):
         assert expected_exactness(d, 1, 0) == d
+
+
+def _datum_digest(datum):
+    """sha256 of the bytes `--emit-datum` writes for this datum."""
+    text = json.dumps(datum.to_json(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The datum bytes fix each model's basis order, signs and metadata;
+# changing any of them changes a digest.
+_ABELIAN_DIGESTS = {
+    1: "d9c955daeae5930d96263ccd0955283b09bdfb96aebc026f31ec893c83440615",
+    2: "8b5c7a6508119cb9c4fab92796edefc21bafed5ee13b811612e8fb9443932d81",
+    3: "58f7f9597d85ff1b235a2cffe1a543bbd5171f0c83f804b364b1279b10cb9684",
+    4: "8dbff45fa0d1b8adaedb03293cf9ab8abb9e6a6b9245253ccdd5e8e91586378e",
+    5: "176ed5c529096b84ecff1d5c9453f4779d82bef6251aa19da942e04e159147c0",
+    6: "3a07b8ddf6c132fa99f713871be0fb8bae45dd8ac58315b654e6dcf3b8f696ec",
+}
+_CURVES_DIGEST = "8af3e1690f58794512fd13083e52f99a41bd0c7f99f56f23e7c7ed109c26620f"
+_CURVES_H1_DIGEST = "69646f87faed71a24aa18ed2e0b82ddc49e85684a84069d30fa53f3672d37640"
+_H1_PAIR = ([[1, 2, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, -1], [1, 0, 1]])
+
+
+@pytest.mark.parametrize("q", sorted(_ABELIAN_DIGESTS))
+def test_abelian_datum_bytes_are_pinned(q):
+    assert _datum_digest(abelian_model(q)) == _ABELIAN_DIGESTS[q]
+
+
+def test_curves_datum_bytes_are_pinned():
+    assert _datum_digest(curves_product_model()[0]) == _CURVES_DIGEST
+    dat, _ = curves_product_model(h1_basis=_H1_PAIR)
+    assert _datum_digest(dat) == _CURVES_H1_DIGEST
 
 
 def test_abelian_dims():
