@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .coefpoly import CoefPoly, hq_poly
-from .partitions import all_horizontal_extensions, box_partitions, strictly_bigger
+from .partitions import box_partitions, horizontal_extensions, strictly_bigger
 from .schur import grassmannian, stable
 from .series import (
     GradedSeries,
@@ -52,22 +52,24 @@ def chern_F(k: int, q: int) -> GradedSeries:
 
     The q-th power of c(Q) is applied as q passes of "extend by a horizontal
     strip of any size", which is how multiplication by 1 + sigma_1 + sigma_2
-    + ... acts on the Schubert basis. No truncation is needed beyond the box.
+    + ... acts on the Schubert basis. No truncation is needed beyond the box,
+    so each lam's extensions are the same on every pass: they are listed on
+    first use and reused by the later passes of this call.
     """
     ctx = grassmannian(k, q)
     width = q - k
     D = k * width
-    terms = dict(substitute(sym_power_chern(k, 2, D), ctx).terms())
+    terms = substitute(sym_power_chern(k, 2, D), ctx).terms()
+    extensions = {}
     for _ in range(q):
         new = {}
         for lam, c in terms.items():
-            for nu, _added in all_horizontal_extensions(lam, k, width, D - sum(lam)):
-                s = new.get(nu, 0) + c
-                if s:
-                    new[nu] = s
-                else:
-                    new.pop(nu, None)
-        terms = new
+            nus = extensions.get(lam)
+            if nus is None:
+                nus = extensions[lam] = list(horizontal_extensions(lam, k, width))
+            for nu in nus:
+                new[nu] = new.get(nu, 0) + c
+        terms = {nu: c for nu, c in new.items() if c}
     return GradedSeries.from_terms(ctx, D, terms)
 
 

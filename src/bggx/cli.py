@@ -252,6 +252,11 @@ def _cmd_conjecture_verify(args) -> RunReport:
         for k in k_values
         for q in range(k + 1, args.q_max + 1)
     ]
+    if not cells:
+        raise ValueError(
+            f"--k {args.k} with --q-max {args.q_max} gives no cells:"
+            " each cell needs a k from --k with k < q <= --q-max"
+        )
     reports = _pmap(_conjecture_cell, cells, args.jobs)
     n_fail = sum(1 for r in reports if r.status == "FAIL")
     n_warn = sum(1 for r in reports if r.status == "WARN")

@@ -7,7 +7,7 @@ ring code. All functions validate their input through normalize().
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def normalize(parts) -> tuple[int, ...]:
@@ -121,26 +121,28 @@ def horizontal_strips(lam, m: int, rows: int, width: int | None):
     yield from rec(0, m, [])
 
 
-def all_horizontal_extensions(lam, rows: int, width: int, max_add: int):
-    """Yield (nu, added) over horizontal strips of every size 0..max_add.
+def horizontal_extensions(lam, rows: int, width: int):
+    """Yield every nu in the rows x width box with nu/lam a horizontal strip
+    of any size (0 included), as canonical tuples.
 
-    Single pass used when multiplying by a full sum of row classes.
+    Row i of nu ranges over lam_i..lam_{i-1} (lam_{-1} read as width) with
+    no dependence on the other rows of nu, so the strips are a product of
+    ranges. Only the first zero row of lam can grow; a zero there is left
+    off, and every row below it stays zero.
     """
     lam = normalize(lam)
     if len(lam) > rows:
         return
-    padded = lam + (0,) * (rows - len(lam))
-
-    def rec(i, added, out):
-        if i == rows:
-            yield normalize(tuple(out)), added
-            return
-        low = padded[i]
-        high = min(padded[i - 1] if i > 0 else width, width, low + (max_add - added))
-        for v in range(low, high + 1):
-            yield from rec(i + 1, added + (v - low), out + [v])
-
-    yield from rec(0, 0, [])
+    tops = (width,) + lam
+    heads = product(*(range(low, top + 1) for low, top in zip(lam, tops)))
+    if len(lam) == rows:
+        yield from heads
+        return
+    new_row = range(1, tops[-1] + 1)
+    for head in heads:
+        yield head
+        for v in new_row:
+            yield head + (v,)
 
 
 def vertical_strips(lam, c: int, rows: int, width: int | None):

@@ -25,7 +25,7 @@ from .coefpoly import CoefPoly
 from .partitions import normalize, partitions_with_max_length
 from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_dual
 
-# Bound on the table cache, far above the 38 tables `repro` uses.
+# Bound on the table cache, far above the 18 tables `repro` uses.
 _CACHE_SIZE = 8192
 
 
@@ -328,12 +328,19 @@ def sym_power_chern(k: int, r: int, D=None) -> SymChernTable:
         raise ValueError("need k >= 1 and r >= 1")
     if D is not None and D < 0:
         raise ValueError("truncation degree must be non-negative")
-    return _sym_power_table(k, r, comb(k + r - 1, r) if D is None else D)
+    rank = comb(k + r - 1, r)
+    D = rank if D is None else D
+    table = _sym_power_table(k, r, min(D, rank))
+    if D == table.D:
+        return table
+    # c_d(Sym^r E) = 0 above the rank: pad with empty degree slices
+    return SymChernTable(k, r, D, table.entries + [{} for _ in range(D - table.D)])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sym_power_table(k, r, D):
-    cap = min(D, comb(k + r - 1, r))
+def _sym_power_table(k, r, cap):
+    """The table through degree cap <= rank, cached on (k, r, cap) so that
+    every D at or above the rank shares one table."""
     unit = (0,) * k
 
     # Newton: p_n = sum_{i<n} (-1)^{i-1} e_i p_{n-i} + (-1)^{n-1} n e_n
@@ -373,7 +380,7 @@ def _sym_power_table(k, r, D):
             _add_scaled(cd, scale, _mul(ch[i], c[d - i]))
         c.append({e: v for e, v in cd.items() if v})
 
-    return SymChernTable(k, r, D, c + [{} for _ in range(D - cap)])
+    return SymChernTable(k, r, cap, c)
 
 
 # -------------------------------------------------- back to Schubert land

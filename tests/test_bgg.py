@@ -4,6 +4,8 @@ and against concrete specializations computed by plain powers."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 
@@ -21,7 +23,9 @@ from bggx.bgg import (
 )
 from bggx.bounds import c2_bound
 from bggx.coefpoly import CoefPoly, hq_poly
-from bggx.series import evaluate_coeffs
+from bggx.partitions import box_partitions
+from bggx.schur import grassmannian
+from bggx.series import evaluate_coeffs, substitute, sym_power_chern
 
 
 # -------------------------------------------------------------- staircase
@@ -52,14 +56,47 @@ def test_chern_F_degree_one():
         assert f.coefficient((1,)) == q - (k + 1), (k, q)
 
 
+def skew_schur_at_ones(nu, lam, k, q):
+    """s_{nu/lam}(1^q) by the k x k Jacobi-Trudi determinant
+    det[h_{nu_i - lam_j - i + j}(1^q)], with h_m(1^q) = C(m+q-1, q-1).
+    Test-local; independent of the strip enumeration in chern_F."""
+    nu = tuple(nu) + (0,) * (k - len(nu))
+    lam = tuple(lam) + (0,) * (k - len(lam))
+
+    def h(m):
+        return comb(m + q - 1, q - 1) if m >= 0 else 0
+
+    total = 0
+    for perm in permutations(range(k)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        total += (-1) ** inversions * prod(
+            h(nu[i] - lam[j] - i + j) for i, j in enumerate(perm)
+        )
+    return total
+
+
+def test_chern_F_matches_jacobi_trudi_oracle():
+    # the coefficient of sigma_nu in sigma_lam * c(Q)^q is s_{nu/lam}(1^q)
+    for k in range(1, 4):
+        for q in range(k + 1, 8):
+            sym2 = substitute(sym_power_chern(k, 2, k * (q - k)), grassmannian(k, q))
+            expect = {}
+            for lam, a in sym2.terms().items():
+                for nu in box_partitions(k, q - k, min_size=sum(lam)):
+                    c = a * skew_schur_at_ones(nu, lam, k, q)
+                    if c:
+                        expect[nu] = expect.get(nu, 0) + c
+            expect = {nu: c for nu, c in expect.items() if c}
+            got = {nu: c for nu, c in chern_F(k, q).terms().items() if c}
+            assert got == expect, (k, q)
+
+
 def test_chern_F_k1_is_line_bundle_case():
     # k=1: c(F) = (1 - 2 sigma_1) * c(Q)^q on projective space
     q = 5
     f = chern_F(1, q)
     # degree-d coefficient of (1-2t)/(1-t)^q with t^d, all degrees up to q-1
     # (1-t)^-q = sum binom(q-1+d, d) t^d
-    from math import comb
-
     for d in range(0, q):
         expect = comb(q - 1 + d, d) - 2 * comb(q - 2 + d, d - 1) if d else 1
         assert f.coefficient((d,) if d else ()) == expect

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, exit codes, fault paths."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,13 +60,34 @@ def test_conjecture_csv_rows_and_warn_exit(capsys):
     assert lines[2] == "2,4,1,1,1,1,PASS"
 
 
-def test_empty_sweep_passes(capsys):
+@pytest.mark.parametrize(
+    "k, q_max",
+    [("4..2", "6"), ("3", "3"), ("4", "3")],
+    ids=["k-range-descending", "q-max-equals-k", "q-max-below-k"],
+)
+def test_empty_sweep_exits_2(capsys, k, q_max):
+    # a sweep over no cells is a usage error, not a vacuous PASS
+    code, out, err = run(
+        capsys, "conjecture", "verify", "--k", k, "--q-max", q_max,
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--k" in err and "--q-max" in err
+
+
+# sha256 of `conjecture verify --k 2..5 --q-max 9 --format json`, recorded
+# before chern_F reused its strip extensions across passes
+_CONJECTURE_2_5_9_SHA256 = "dba2a161ced0a4e454202e0b61765313eeaf6403e6b6c887276fb456b36ce855"
+
+
+def test_conjecture_json_matches_recorded_digest(capsys):
     code, out, _ = run(
-        capsys, "conjecture", "verify", "--k", "4", "--q-max", "3",
+        capsys, "conjecture", "verify", "--k", "2..5", "--q-max", "9",
         "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["results"]["reports"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == _CONJECTURE_2_5_9_SHA256
 
 
 def test_jobs_flag_does_not_change_output(capsys):

@@ -4,7 +4,7 @@ duality, and truncation coherence between boxes of different widths."""
 
 import random
 
-from bggx.partitions import box_partitions, conjugate, normalize
+from bggx.partitions import box_partitions, conjugate, horizontal_extensions, normalize
 from bggx.schur import (
     SchubertExpr,
     class_product,
@@ -60,6 +60,17 @@ def test_pieri_matches_strip_oracle():
                 got = sorted(pieri(lam, m, ctx).terms)
                 assert got == strip_oracle(lam, m, k, q - k), (k, q, lam, m)
                 assert all(c == 1 for c in pieri(lam, m, ctx).terms.values())
+
+
+def test_horizontal_extensions_are_every_strip_size_at_once():
+    for rows, width in [(1, 4), (2, 3), (3, 3), (4, 2)]:
+        for lam in box_partitions(rows, width):
+            got = list(horizontal_extensions(lam, rows, width))
+            assert all(nu == normalize(nu) for nu in got), lam
+            assert len(set(got)) == len(got), lam
+            expect = [nu for m in range(rows * width + 1)
+                      for nu in strip_oracle(lam, m, rows, width)]
+            assert sorted(got) == sorted(expect), (rows, width, lam)
 
 
 def test_pieri_frozen_values():

@@ -15,6 +15,8 @@ from bggx.partitions import box_partitions
 from bggx.schur import SchubertExpr, grassmannian, stable
 from bggx.series import (
     GradedSeries,
+    SymChernTable,
+    _sym_power_table,
     chern_Q,
     chern_S,
     e_monomial_sigma,
@@ -258,6 +260,30 @@ def test_table_zero_above_rank():
     table = sym_power_chern(2, 2, 5)
     assert all(not table.entries[d] for d in range(4, 6))
     assert table.entries[3]  # top Chern class of a rank-3 bundle
+
+
+def test_table_truncates_and_pads_the_full_table():
+    for k, r in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+        full = sym_power_chern(k, r)
+        rank = comb(k + r - 1, r)
+        assert full.D == rank
+        for D in (0, 1, rank - 1, rank, rank + 1, rank + 4):
+            table = sym_power_chern(k, r, D)
+            expect = SymChernTable(k, r, D, full.entries[: D + 1] + [{}] * (D - rank))
+            assert table.D == D, (k, r, D)
+            assert table.entries == expect.entries, (k, r, D)
+            assert table.to_json() == expect.to_json(), (k, r, D)
+
+
+def test_table_cache_is_keyed_on_the_capped_degree():
+    # the repro sweep (k = 2..4, q <= 12) asks for 27 degrees D = k(q-k),
+    # which cap at min(D, rank of Sym^2) to 7 distinct tables
+    _sym_power_table.cache_clear()
+    for k in (2, 3, 4):
+        for q in range(k + 1, 13):
+            sym_power_chern(k, 2, k * (q - k))
+    info = _sym_power_table.cache_info()
+    assert (info.misses, info.hits) == (7, 20)
 
 
 # ----------------------------------------------------------- substitution
