@@ -414,15 +414,19 @@ def _contraction(k: int, m: int, t: int) -> sp.csr_matrix:
     )
 
 
-@functools.lru_cache(maxsize=None)
+# Bound on the contraction cache, far above the 126 (k, m, t) keys that the
+# q = 2..6 exactness battery uses.
+_CONTRACTION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
 def _contraction_coo(k: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate form of :func:`_contraction`, cached; callers must not mutate."""
+    """Coordinate form of :func:`_contraction`, cached as read-only arrays."""
     mat = _contraction(k, m, t).tocoo()
-    return (
-        mat.row.astype(np.int64),
-        mat.col.astype(np.int64),
-        mat.data.astype(np.int64),
-    )
+    arrays = (mat.row.astype(np.int64), mat.col.astype(np.int64), mat.data.astype(np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ codimension |lambda|). A context with width=None is the inductive limit as
 q grows: partitions keep at most k parts but parts are unbounded, which is
 the ring of Schur polynomials in k variables.
 
-Products are computed by Giambelli-expanding one factor into special
-(single-row) classes and applying the Pieri rule repeatedly. An independent
-Littlewood-Richardson tableau count (lr_coefficient) exists for testing the
-product code; it shares no code with the ring operations.
+Every product is a chain of one cached Pieri step (the nu with nu/lam a
+horizontal or vertical m-strip in the box). sigma_lam * sigma_b expands
+sigma_b = det(sigma_{b_i + j - i}) (Fulton, Young Tableaux, Sec. 2, 9.4) into
+signed multisets of row indices, applied along shared prefixes; the series
+code expands e-monomials the same way. An independent Littlewood-Richardson
+tableau count (lr_coefficient) shares no code with the ring operations.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
 from .partitions import (
     fits_box,
@@ -26,9 +29,9 @@ from .partitions import (
     vertical_strips,
 )
 
-# Bound on the cache of general products, far above the 837 that all
-# products of two Gr(4,8) classes need.
-_CACHE_SIZE = 8192
+# Bound on each cache, far above the 837 general products and 982 Pieri
+# steps of all Gr(4,8) products plus the k <= 4 staircase, or (7,15)'s 3483.
+_CACHE_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,15 @@ class SchubertExpr:
         self.terms = store
 
     @classmethod
+    def _make(cls, ctx, pairs):
+        """Expression from (lam, c) pairs whose partitions the engine made,
+        canonical and in the box, so not validated again; zeros dropped."""
+        res = cls.__new__(cls)
+        res.ctx = ctx
+        res.terms = {lam: _norm_coeff(c) for lam, c in pairs if c}
+        return res
+
+    @classmethod
     def zero(cls, ctx):
         return cls(ctx)
 
@@ -132,35 +144,17 @@ class SchubertExpr:
         self._require_same_ctx(other)
         out = dict(self.terms)
         for lam, c in other.terms.items():
-            s = out.get(lam, 0) + c
-            s = _norm_coeff(s)
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        res = SchubertExpr.__new__(SchubertExpr)
-        res.ctx = self.ctx
-        res.terms = out
-        return res
+            out[lam] = out.get(lam, 0) + c
+        return SchubertExpr._make(self.ctx, out.items())
 
     def __neg__(self):
-        res = SchubertExpr.__new__(SchubertExpr)
-        res.ctx = self.ctx
-        res.terms = {lam: -c for lam, c in self.terms.items()}
-        return res
+        return SchubertExpr._make(self.ctx, ((lam, -c) for lam, c in self.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = _norm_coeff(c)
-        if not c:
-            return SchubertExpr.zero(self.ctx)
-        res = SchubertExpr.__new__(SchubertExpr)
-        res.ctx = self.ctx
-        res.terms = {lam: _norm_coeff(v * c) for lam, v in self.terms.items()}
-        res.terms = {lam: v for lam, v in res.terms.items() if v}
-        return res
+        return SchubertExpr._make(self.ctx, ((lam, v * c) for lam, v in self.terms.items()))
 
     def __mul__(self, other):
         if isinstance(other, SchubertExpr):
@@ -210,60 +204,74 @@ class SchubertExpr:
         return cls(ctx, terms)
 
 
-def pieri(lam, m: int, ctx: GrassmannianContext) -> SchubertExpr:
-    """sigma_lam * sigma_(m): sum over horizontal m-strip extensions in the box."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _strips(lam, m, k, width, vertical):
+    """The Pieri step: every nu in the k x width box with nu/lam a horizontal
+    m-strip (a vertical one when `vertical`), as a tuple of canonical tuples."""
+    return tuple((vertical_strips if vertical else horizontal_strips)(lam, m, k, width))
+
+
+def _pieri(lam, m, ctx, vertical):
     lam = normalize(lam)
     ctx.check(lam)
     if m < 0:
-        raise ValueError("row class index must be non-negative")
-    out = {}
-    for nu in horizontal_strips(lam, m, ctx.k, ctx.width):
-        out[nu] = out.get(nu, 0) + 1
-    return SchubertExpr(ctx, out)
+        raise ValueError("class index must be non-negative")
+    return SchubertExpr._make(ctx, ((nu, 1) for nu in _strips(lam, m, ctx.k, ctx.width, vertical)))
+
+
+def pieri(lam, m: int, ctx: GrassmannianContext) -> SchubertExpr:
+    """sigma_lam * sigma_(m): sum over horizontal m-strip extensions in the box."""
+    return _pieri(lam, m, ctx, vertical=False)
 
 
 def pieri_dual(lam, c: int, ctx: GrassmannianContext) -> SchubertExpr:
     """sigma_lam * sigma_(1^c): sum over vertical c-strip extensions in the box."""
-    lam = normalize(lam)
-    ctx.check(lam)
-    if c < 0:
-        raise ValueError("column class index must be non-negative")
-    if c > ctx.k:
-        return SchubertExpr.zero(ctx)
-    out = {}
-    for nu in vertical_strips(lam, c, ctx.k, ctx.width):
-        out[nu] = out.get(nu, 0) + 1
-    return SchubertExpr(ctx, out)
+    return _pieri(lam, c, ctx, vertical=True)
 
 
-def _giambelli_apply(start, b, ctx: GrassmannianContext) -> SchubertExpr:
-    """sigma_start * sigma_b, with sigma_b expanded as det(sigma_{b_i + j - i}).
+def pieri_words(start, words, ctx: GrassmannianContext, vertical=False) -> SchubertExpr:
+    """sum of a * sigma_start * prod_{m in w} sigma_(m) (sigma_(1^m) when
+    `vertical`) over the (w, a) pairs, w distinct tuples of strip sizes.
 
-    Each term of the determinant's permutation expansion is a product of
-    special (single-row) classes, applied to `start` as horizontal strips;
-    entries with index < 0 or beyond the box width vanish.
+    Sorted words keep the integer product of every prefix of the current
+    word on a stack, so a prefix that several words share is computed once.
+    """
+    k, width = ctx.k, ctx.width
+    total = {}
+    stack, prev = [{start: 1}], ()
+    for word, w in sorted(words, key=itemgetter(0)):
+        i = 0
+        while i < min(len(prev), len(word)) and prev[i] == word[i]:
+            i += 1
+        del stack[i + 1:]
+        for m in word[i:]:
+            acc = {}
+            for lam, c in stack[-1].items():
+                for nu in _strips(lam, m, k, width, vertical):
+                    acc[nu] = acc.get(nu, 0) + c
+            stack.append(acc)
+        prev, w = word, _norm_coeff(w)
+        for nu, c in stack[-1].items():
+            total[nu] = total.get(nu, 0) + w * c
+    return SchubertExpr._make(ctx, total.items())
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _giambelli_words(b, width):
+    """det(sigma_{b_i + j - i}) as (sorted non-zero row indices, signed count)
+    pairs: terms with an index outside 0..width vanish, sigma_0 = 1 drops
+    out, and terms with equal index multisets are merged, zero sums removed.
     """
     n = len(b)
-    total = {}
+    words = {}
     for perm in permutations(range(n)):
         ms = [b[i] + perm[i] - i for i in range(n)]
-        if any(m < 0 or (ctx.width is not None and m > ctx.width) for m in ms):
+        if any(m < 0 or (width is not None and m > width) for m in ms):
             continue
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        acc = {start: sign}
-        for m in sorted(ms):
-            nxt = {}
-            for lam, c in acc.items():
-                for nu in horizontal_strips(lam, m, ctx.k, ctx.width):
-                    nxt[nu] = nxt.get(nu, 0) + c
-            acc = nxt
-        for nu, c in acc.items():
-            total[nu] = total.get(nu, 0) + c
-    return SchubertExpr(ctx, total)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        word = tuple(sorted(m for m in ms if m))
+        words[word] = words.get(word, 0) + (-1) ** inversions
+    return tuple((word, c) for word, c in words.items() if c)
 
 
 def giambelli(lam, ctx: GrassmannianContext) -> SchubertExpr:
@@ -273,7 +281,7 @@ def giambelli(lam, ctx: GrassmannianContext) -> SchubertExpr:
     """
     lam = normalize(lam)
     ctx.check(lam)
-    return _giambelli_apply((), lam, ctx)
+    return pieri_words((), _giambelli_words(lam, ctx.width), ctx)
 
 
 def class_product(lam, mu, ctx: GrassmannianContext) -> SchubertExpr:
@@ -288,14 +296,15 @@ def class_product(lam, mu, ctx: GrassmannianContext) -> SchubertExpr:
         return pieri_dual(lam, len(mu), ctx)
     if lam[0] == 1:
         return pieri_dual(mu, len(lam), ctx)
-    return _general_product(lam, mu, ctx) if lam <= mu else _general_product(mu, lam, ctx)
+    pair = (lam, mu) if lam <= mu else (mu, lam)
+    return SchubertExpr._make(ctx, _general_product(*pair, ctx))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _general_product(lam, mu, ctx):
-    # expand the factor with fewer rows through Giambelli
+    # (nu, coefficient) pairs; the factor with fewer rows goes through Giambelli
     a, b = (lam, mu) if len(mu) <= len(lam) else (mu, lam)
-    return _giambelli_apply(a, b, ctx)
+    return tuple(pieri_words(a, _giambelli_words(b, ctx.width), ctx).terms.items())
 
 
 def multiply(a: SchubertExpr, b: SchubertExpr) -> SchubertExpr:
@@ -310,12 +319,8 @@ def multiply(a: SchubertExpr, b: SchubertExpr) -> SchubertExpr:
             if not c:
                 continue
             for nu, mult in class_product(lam, mu, ctx).terms.items():
-                s = _norm_coeff(out.get(nu, 0) + c * mult)
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
-    return SchubertExpr(ctx, out)
+                out[nu] = out.get(nu, 0) + c * mult
+    return SchubertExpr._make(ctx, out.items())
 
 
 def complement(lam, ctx: GrassmannianContext) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from operator import add
 
 from .coefpoly import CoefPoly
 from .partitions import normalize, partitions_with_max_length
-from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_dual
+from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_words
 
 # Bound on the table cache, far above the 18 tables `repro` uses.
 _CACHE_SIZE = 8192
@@ -385,22 +385,18 @@ def _sym_power_table(k, r, cap):
 
 # -------------------------------------------------- back to Schubert land
 
+def _e_word(exps):
+    """The column classes of prod e_i^{a_i}: a_1 ones, then a_2 twos, ..."""
+    return tuple(i for i, a in enumerate(exps, start=1) for _ in range(a))
+
+
 def e_monomial_sigma(exps, ctx: GrassmannianContext) -> SchubertExpr:
     """prod e_i^{a_i} with e_i -> c_i(S) = (-1)^i sigma_{1^i}, as an expression.
 
     The sign is (-1)^(weighted degree); the product itself is a chain of
-    column-class multiplications (vertical strips), which is fast."""
-    expr = SchubertExpr.unit(ctx)
-    degree = 0
-    for i, a in enumerate(exps, start=1):
-        degree += i * a
-        for _ in range(a):
-            acc = {}
-            for lam, c in expr.terms.items():
-                for nu, m in pieri_dual(lam, i, ctx).terms.items():
-                    acc[nu] = acc.get(nu, 0) + c * m
-            expr = SchubertExpr(ctx, acc)
-    return expr.scale((-1) ** degree)
+    cached vertical Pieri steps (schur.pieri_words), one per factor."""
+    word = _e_word(exps)
+    return pieri_words((), [(word, (-1) ** sum(word))], ctx, vertical=True)
 
 
 def substitute(table: SymChernTable, ctx: GrassmannianContext, D=None) -> GradedSeries:
@@ -411,11 +407,8 @@ def substitute(table: SymChernTable, ctx: GrassmannianContext, D=None) -> Graded
     rank = comb(table.k + table.r - 1, table.r)
     if table.D < min(D, rank):
         raise ValueError("table truncated below the requested series degree")
-    comps = []
-    for d in range(D + 1):
-        part = SchubertExpr.zero(ctx)
-        if d < len(table.entries):
-            for exps, c in table.entries[d].items():
-                part = part + e_monomial_sigma(exps, ctx).scale(c)
-        comps.append(part)
-    return GradedSeries(ctx, D, comps)
+    # one pass per degree slice, so its e-monomials share their prefixes
+    slices = (table.entries + [{}] * D)[: D + 1]
+    return GradedSeries(ctx, D, [
+        pieri_words((), [(_e_word(e), (-1) ** d * c) for e, c in part.items()], ctx, vertical=True)
+        for d, part in enumerate(slices)])

@@ -2,6 +2,8 @@
 and the symbolic g-polynomials of c(G) against their displayed closed forms
 and against concrete specializations computed by plain powers."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -132,6 +134,19 @@ def test_conjecture_report_json_round():
     assert data["mu"] == [2, 1]
     assert data["status"] == "PASS"
     assert isinstance(data["mu_coefficient"], str)
+
+
+# sha256 of the sort_keys JSON list of verify_conjecture(k, q).to_json() over
+# these cells, recorded before Schubert products shared one cached Pieri step
+_STAIRCASE_CELLS = tuple((k, q) for k in (2, 3, 4) for q in range(k + 1, 11)) + ((5, 6), (5, 7))
+_STAIRCASE_SHA256 = "7fabb4f764fad738512649e77684d501585a6c17837c07a863dd69800e6d92db"
+
+
+def test_conjecture_reports_match_recorded_digest():
+    blob = json.dumps([verify_conjecture(k, q).to_json() for k, q in _STAIRCASE_CELLS],
+                      sort_keys=True)
+    assert len(_STAIRCASE_CELLS) == 23
+    assert hashlib.sha256(blob.encode()).hexdigest() == _STAIRCASE_SHA256
 
 
 # ------------------------------------------------------------ g-polynomials

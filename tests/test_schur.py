@@ -2,6 +2,8 @@
 products against an independent Littlewood-Richardson tableau count,
 duality, and truncation coherence between boxes of different widths."""
 
+import hashlib
+import json
 import random
 
 from bggx.partitions import box_partitions, conjugate, horizontal_extensions, normalize
@@ -118,6 +120,34 @@ def test_products_match_lr_oracle_gr38():
                 SchubertExpr.single(ctx, lam), SchubertExpr.single(ctx, mu)
             ).terms
             assert got == product_oracle(lam, mu, ctx), (lam, mu)
+
+
+def test_products_match_lr_oracle_on_giambelli_pairs_gr37():
+    # only factors with at least two rows and two columns reach the grouped
+    # Jacobi-Trudi path; every such pair of Gr(3,7) classes
+    ctx = grassmannian(3, 7)
+    wide = [lam for lam in box_partitions(3, 4) if len(lam) >= 2 and lam[0] >= 2]
+    for lam in wide:
+        for mu in wide:
+            assert class_product(lam, mu, ctx).terms == product_oracle(lam, mu, ctx), (lam, mu)
+
+
+# sha256 of every product of two Gr(4,8) classes that fits the box, listed
+# as sorted [[lam, mu], [[nu, coeff], ...]] pairs in JSON
+_GR48_PRODUCTS_SHA256 = "8dbad4d34d42aeae98dd409935a6d1f02db959a78a0b6ec3047a2313e851be91"
+
+
+def test_all_gr48_products_match_recorded_digest():
+    ctx = grassmannian(4, 8)
+    parts = list(box_partitions(4, 4))
+    listing = sorted(
+        ([list(lam), list(mu)],
+         sorted([list(nu), str(c)] for nu, c in multiply(
+             SchubertExpr.single(ctx, lam), SchubertExpr.single(ctx, mu)).terms.items()))
+        for lam in parts for mu in parts if sum(lam) + sum(mu) <= 16
+    )
+    assert len(listing) == 2645
+    assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == _GR48_PRODUCTS_SHA256
 
 
 def test_product_frozen_values():

@@ -12,7 +12,7 @@ import pytest
 
 from bggx.coefpoly import hq_poly
 from bggx.partitions import box_partitions
-from bggx.schur import SchubertExpr, grassmannian, stable
+from bggx.schur import SchubertExpr, grassmannian, pieri_dual, stable
 from bggx.series import (
     GradedSeries,
     SymChernTable,
@@ -317,6 +317,36 @@ def test_e_monomial_sign_convention():
     # e_1^2 = sigma_1^2 = sigma_2 + sigma_{1,1}
     sq = e_monomial_sigma((2, 0), ctx)
     assert sq == SchubertExpr(ctx, {(2,): 1, (1, 1): 1})
+
+
+def unit_started_expansion(table, ctx, D):
+    """substitute() the way it was first written: every e-monomial multiplied
+    out from the unit by one pieri_dual per factor, then scaled and summed."""
+    comps = []
+    for d in range(D + 1):
+        part = SchubertExpr.zero(ctx)
+        for exps, c in (table.entries[d].items() if d < len(table.entries) else ()):
+            expr = SchubertExpr.unit(ctx)
+            for i, a in enumerate(exps, start=1):
+                for _ in range(a):
+                    acc = SchubertExpr.zero(ctx)
+                    for lam, coeff in expr.terms.items():
+                        acc = acc + pieri_dual(lam, i, ctx).scale(coeff)
+                    expr = acc
+            part = part + expr.scale((-1) ** d * c)
+        comps.append(part)
+    return GradedSeries(ctx, D, comps)
+
+
+def test_substitute_matches_unit_started_expansion():
+    for k in range(1, 5):
+        for r in (1, 2):
+            for ctx, D in [(grassmannian(k, k + 1), None), (grassmannian(k, k + 3), None),
+                           (grassmannian(k, 2 * k + 2), None), (stable(k), 6)]:
+                D = k * ctx.width if D is None else D
+                table = sym_power_chern(k, r, D)
+                expect = unit_started_expansion(table, ctx, D)
+                assert substitute(table, ctx, D) == expect, (k, r, ctx, D)
 
 
 def test_substitute_stable_context():
