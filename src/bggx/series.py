@@ -9,8 +9,11 @@ powers Sym^r of a rank-k bundle as polynomials in e_i = c_i(E), by three
 exact graded recurrences: power sums p_n from Newton's identities, the
 Chern character ch(Sym^r E) = h_r[e^x] = sum_{lam |- r} p_lam[e^x] / z_lam,
 and c = exp(sum_n (-1)^{n-1} (n-1)! ch_n) (Macdonald, Symmetric Functions
-and Hall Polynomials, Ch. I). Substituting e_i -> (-1)^i sigma_{1^i} lands
-back in the Schubert ring.
+and Hall Polynomials, Ch. I). All three run in Python ints: the degree-d
+part of the Chern character is carried as r! d! ch_d, which is integral,
+and each c_d is recovered by one exact division. Monomials are packed into
+single int keys while the tables are built. Substituting
+e_i -> (-1)^i sigma_{1^i} lands back in the Schubert ring.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import add
 
 from .coefpoly import CoefPoly
 from .partitions import normalize, partitions_with_max_length
@@ -259,30 +261,20 @@ def evaluate_coeffs(s: GradedSeries, **assignments) -> GradedSeries:
 
 # ---------------------------------------- symmetric powers via power sums
 #
-# A polynomial in e_1..e_k is a dict from exponent tuples to Fractions; a
-# graded one is a list of such dicts indexed by degree.
+# While a table is built, a polynomial in e_1..e_k is a dict from packed
+# exponent keys to ints, and a graded one is a list of such dicts indexed
+# by degree. The monomial prod e_i^{a_i} is the key sum_i a_i B^(i-1), so
+# multiplying two monomials adds their keys. The finished table unpacks
+# each key to its exponent tuple once.
 
 
-def _mul(a, b):
-    out = {}
+def _mul_add(out, a, b, s):
+    """out += s * a * b for packed polynomials a and b."""
     for e1, c1 in a.items():
+        c1 *= s
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
-def _add_scaled(acc, c, poly):
-    for e, v in poly.items():
-        acc[e] = acc.get(e, 0) + c * v
-
-
-def _graded_mul(a, b, cap):
-    out = [{} for _ in range(cap + 1)]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b[: cap + 1 - i]):
-            _add_scaled(out[i + j], 1, _mul(ai, bj))
-    return out
 
 
 def _z(lam):
@@ -341,46 +333,71 @@ def sym_power_chern(k: int, r: int, D=None) -> SymChernTable:
 def _sym_power_table(k, r, cap):
     """The table through degree cap <= rank, cached on (k, r, cap) so that
     every D at or above the rank shares one table."""
-    unit = (0,) * k
+    # Key base B = cap + 1. No digit ever carries: every product below is
+    # formed inside a slice of weighted degree sum_i i a_i <= cap, so every
+    # a_i <= cap < B (a_1 = cap is e_1^cap, the largest digit).
+    B = cap + 1
+    e_key = [B**i for i in range(k)]  # e_key[i - 1] packs e_i
 
     # Newton: p_n = sum_{i<n} (-1)^{i-1} e_i p_{n-i} + (-1)^{n-1} n e_n
-    p = [{unit: Fraction(k)}]
+    p = [{0: k}]
     for n in range(1, cap + 1):
         pn = {}
         for i in range(1, min(n - 1, k) + 1):
+            sign, ei = (-1) ** (i - 1), e_key[i - 1]
             for e, c in p[n - i].items():
-                e = e[: i - 1] + (e[i - 1] + 1,) + e[i:]
-                pn[e] = pn.get(e, 0) + (-1) ** (i - 1) * c
+                pn[e + ei] = pn.get(e + ei, 0) + sign * c
         if n <= k:
-            e = unit[: n - 1] + (1,) + unit[n:]
+            e = e_key[n - 1]
             pn[e] = pn.get(e, 0) + (-1) ** (n - 1) * n
         p.append(pn)
 
-    # ch(Sym^r E) = h_r[e^x] = sum_{lam |- r} p_lam[e^x] / z_lam,
-    # with p_j[e^x] = sum_m j^m p_m / m!
-    pj = {
-        j: [{e: Fraction(j**m, factorial(m)) * c for e, c in p[m].items()}
-            for m in range(cap + 1)]
-        for j in range(1, r + 1)
-    }
-    ch = [{} for _ in range(cap + 1)]
+    # ch(Sym^r E) = h_r[e^x] = sum_{lam |- r} p_lam[e^x] / z_lam with
+    # p_j[e^x] = sum_m j^m p_m / m!. Scaled to integers: the product of the
+    # series j^m p_m under the binomial convolution (a * b)_d =
+    # sum_i C(d, i) a_i b_{d-i} is d! p_lam[e^x]_d, and r!/z_lam is the size
+    # of a conjugacy class, so X_d = r! d! ch_d.
+    pj = {j: [{e: j**m * c for e, c in p[m].items()} for m in range(cap + 1)]
+          for j in range(1, r + 1)}
+    X = [{} for _ in range(cap + 1)]
     for lam in partitions_with_max_length(r, r):
-        term = [{unit: Fraction(1)}]
-        for j in lam:
-            term = _graded_mul(term, pj[j], cap)
+        term = pj[lam[0]]
+        for j in lam[1:]:
+            out = [{} for _ in range(cap + 1)]
+            for i, ai in enumerate(term):
+                for m, bm in enumerate(pj[j][: cap + 1 - i]):
+                    _mul_add(out[i + m], ai, bm, comb(i + m, i))
+            term = out
+        weight = factorial(r) // _z(lam)
         for d in range(1, cap + 1):
-            _add_scaled(ch[d], Fraction(1, _z(lam)), term[d])
+            for e, v in term[d].items():
+                X[d][e] = X[d].get(e, 0) + weight * v
 
-    # c = exp(sum_n L_n), L_n = (-1)^{n-1} (n-1)! ch_n: d c_d = sum_i i L_i c_{d-i}
-    c = [{unit: Fraction(1)}]
+    # c = exp(sum_n (-1)^{n-1} (n-1)! ch_n), so
+    # d c_d = sum_i (-1)^{i-1} i! ch_i c_{d-i}, i.e.
+    # r! d c_d = sum_i (-1)^{i-1} X_i c_{d-i}; every c_d is integral
+    c = [{0: 1}]
     for d in range(1, cap + 1):
         cd = {}
         for i in range(1, d + 1):
-            scale = Fraction((-1) ** (i - 1) * factorial(i), d)
-            _add_scaled(cd, scale, _mul(ch[i], c[d - i]))
-        c.append({e: v for e, v in cd.items() if v})
+            _mul_add(cd, X[i], c[d - i], (-1) ** (i - 1))
+        c.append({})
+        for e, v in cd.items():
+            v, rem = divmod(v, factorial(r) * d)
+            if rem:
+                raise ArithmeticError(f"c_{d}(Sym^{r} E) for rank {k} is not integral")
+            if v:
+                c[d][e] = v
 
-    return SymChernTable(k, r, cap, c)
+    def unpack(e):
+        exps = []
+        for _ in range(k):
+            e, a = divmod(e, B)
+            exps.append(a)
+        return tuple(exps)
+
+    return SymChernTable(
+        k, r, cap, [{unpack(e): Fraction(v) for e, v in cd.items()} for cd in c])
 
 
 # -------------------------------------------------- back to Schubert land
