@@ -123,6 +123,8 @@ def _load_json_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -389,7 +391,8 @@ def _cmd_complex_check(args) -> RunReport:
     W = complexes.SubspaceW(_parse_w_columns(args.w))
     built = complexes.build_complex(datum, W, args.r, args.j)
     homology = complexes.homology_dims(built)
-    prefix = complexes.exactness_prefix(built)
+    # the exactness prefix is the run of leading zeros in the homology
+    prefix = next((i for i, h in enumerate(homology) if h), len(homology))
     results = {
         "term_dims": list(built.term_dims),
         "homology": list(homology),

@@ -482,12 +482,19 @@ def _compose_is_zero(later: sp.csr_matrix, earlier: sp.csr_matrix) -> bool:
     return a.compose(b).is_zero()
 
 
-def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfMatrices:
+def build_complex(
+    datum: HodgeDatum, W: SubspaceW, r: int, j: int, stop_at=None
+) -> ComplexOfMatrices:
     """Assemble the (r, j) complex over W with exact integer matrices.
 
-    The length is always n = min(r, d).  Composition of consecutive
-    differentials is asserted to vanish; a violation is diagnosed back
-    to the first anticommutation failure in the datum.
+    The length is always n = min(r, d), and term_dims lists all n + 1
+    terms.  Without stop_at every differential is assembled; with
+    stop_at=t only maps 0..min(t, n) - 1 are, which is exactly what
+    exactness_prefix(c, stop_at=t) reads.  Compositions of consecutive
+    assembled differentials are asserted to vanish; a violation is
+    diagnosed back to the first anticommutation failure in the datum.
+    The walk refuses positions that need a map past the last assembled
+    one (see :func:`_certified_walk`).
     """
     if W.q != datum.q:
         raise ValueError(f"W lives in dimension {W.q}, datum has q={datum.q}")
@@ -495,8 +502,11 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
         raise ValueError("need r >= 1")
     if not (0 <= j <= datum.d):
         raise ValueError(f"need 0 <= j <= d={datum.d}")
+    if stop_at is not None and stop_at < 0:
+        raise ValueError("need stop_at >= 0")
     k = W.k
     n = min(r, datum.d)
+    built = n if stop_at is None else min(stop_at, n)
 
     w_den = lcm(*(x.denominator for col in W.columns for x in col))
     int_acts = [datum.int_action(i, j) for i in range(n)]
@@ -507,9 +517,11 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
     term_dims = [comb(r - i + k - 1, k - 1) * datum.dims[i][j] for i in range(n + 1)]
 
     maps = []
-    for i in range(n):
+    for i in range(built):
         h_src, h_dst = datum.dims[i][j], datum.dims[i + 1][j]
         shape = (comb(r - i - 1 + k - 1, k - 1) * h_dst, comb(r - i + k - 1, k - 1) * h_src)
+        if shape[0] * shape[1] >= 2**63:
+            raise DataError(f"differential of shape {shape} is too large to assemble")
         # row t of acc: sum over a of w_t[a] * M_a at the positions in keys
         den, keys, stacked = int_acts[i]
         coeffs = [[x * (m_den // den) for x in col] for col in w_int]
@@ -517,8 +529,7 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
         top = max(abs(x) for col in coeffs for x in col) * max(int(abs(stacked).max(initial=0)), 1)
         dtype = np.int64 if top * datum.q < 2**62 else object
         acc = np.array(coeffs, dtype=dtype) @ stacked.astype(dtype, copy=False)
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
+        flat_parts: list[np.ndarray] = []
         vals_parts: list[np.ndarray] = []
         for t in range(k):
             nz = np.flatnonzero(acc[t])
@@ -529,22 +540,15 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
                 raise DataError("matrix entries too large for int64 assembly")
             at_key = keys[nz]
             at_val = acc[t, nz].astype(np.int64)
-            # kron(C_t, A_t) written out directly in coordinate form
-            rows_parts.append((ctr[:, None] * h_dst + at_key[None, :] // h_src).ravel())
-            cols_parts.append((ctc[:, None] * h_src + at_key[None, :] % h_src).ravel())
+            # kron(C_t, A_t) written out directly in coordinate form, each
+            # entry at its flat position row * shape[1] + col
+            rows = ctr[:, None] * h_dst + at_key[None, :] // h_src
+            cols = ctc[:, None] * h_src + at_key[None, :] % h_src
+            flat_parts.append((rows * shape[1] + cols).ravel())
             vals_parts.append((ctv[:, None] * at_val[None, :]).ravel())
-        if rows_parts:
-            total = sp.csr_matrix(
-                (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-                shape=shape,
-                dtype=np.int64,
-            )
-            total.eliminate_zeros()
-        else:
-            total = sp.csr_matrix(shape, dtype=np.int64)
-        maps.append(total)
+        maps.append(_canonical_csr(shape, flat_parts, vals_parts))
 
-    for i in range(n - 1):
+    for i in range(built - 1):
         if not _compose_is_zero(maps[i + 1], maps[i]):
             viol = datum.check_anticommutation()
             if viol is not None:
@@ -559,21 +563,57 @@ def build_complex(datum: HodgeDatum, W: SubspaceW, r: int, j: int) -> ComplexOfM
     return ComplexOfMatrices(
         term_dims=tuple(term_dims),
         maps=tuple(maps),
-        map_scales=tuple([scale] * n),
+        map_scales=tuple([scale] * built),
         labels=(r, j, n, "multiset-lex"),
     )
+
+
+def _canonical_csr(shape, flat_parts, vals_parts) -> sp.csr_matrix:
+    """The int64 CSR matrix with entries vals_parts summed at flat_parts.
+
+    Equal flat positions row * shape[1] + col are summed and zero sums
+    dropped, so the arrays handed to scipy are canonical: sorted column
+    indices, no duplicates, no explicit zeros.  The sums of
+    :func:`build_complex`'s parts are exact in int64: positions within
+    one part are distinct, so at most k parts meet at a position, and
+    the (k + 1)-term guard there keeps each term below 2**62 / (k + 1),
+    so every sum stays below 2**62.
+    """
+    if not any(part.size for part in flat_parts):
+        return sp.csr_matrix(shape, dtype=np.int64)
+    m, n = shape
+    flat = np.concatenate(flat_parts)
+    order = np.argsort(flat)
+    flat = flat[order]
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    sums = np.add.reduceat(np.concatenate(vals_parts)[order], starts)
+    keep = sums != 0
+    rows, cols = np.divmod(flat[starts[keep]], n)
+    data = sums[keep]
+    # scipy's own index dtype, so that it keeps the arrays as they are
+    index = np.int32 if max(m, n, data.size) < 2**31 else np.int64
+    indptr = np.zeros(m + 1, dtype=index)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=m))
+    return sp.csr_matrix((data, cols.astype(index), indptr), shape=shape)
 
 
 _DENSE_RANK_LIMIT = 60_000_000
 
 
-def _as_int_array(mat: sp.csr_matrix) -> np.ndarray:
-    if mat.shape[0] * mat.shape[1] > _DENSE_RANK_LIMIT:
+def _dense(shape, indptr, indices, data) -> np.ndarray:
+    """The CSR arrays of a matrix scattered into a dense int64 array.
+
+    Entries at a repeated position are summed, as scipy does.  Refuses,
+    as a DataError, a matrix with more than _DENSE_RANK_LIMIT entries.
+    """
+    if shape[0] * shape[1] > _DENSE_RANK_LIMIT:
         raise DataError(
-            f"matrix of shape {mat.shape} is too large for a dense rank; "
+            f"matrix of shape {shape} is too large for a dense rank; "
             "restrict the requested homology window"
         )
-    return np.asarray(mat.toarray(), dtype=np.int64)
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, (np.repeat(np.arange(shape[0]), np.diff(indptr)), indices), data)
+    return out
 
 
 def _component_roots(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -602,30 +642,36 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
     """The diagonal blocks of mat up to a permutation of rows and columns.
 
     Blocks are the connected components of the bipartite graph joining
-    row r to column c wherever mat[r, c] != 0, returned as CSR arrays
-    (shape, indptr, indices, data).  Rows and columns keep their relative
-    order inside a block, so blocks that are equal up to that relabelling
-    come out with equal arrays.  Empty rows and columns belong to no
-    block.  rank(mat) is the sum of the block ranks, over Q and over
-    every F_p.
+    row r to column c wherever mat stores an entry at (r, c), returned as
+    CSR arrays (shape, indptr, indices, data) read straight from mat's.
+    Rows and columns keep their relative order inside a block, and so do
+    the entries inside a row, so blocks that are equal up to that
+    relabelling come out with equal arrays.  Empty rows and columns
+    belong to no block.  rank(mat) is the sum of the block ranks, over Q
+    and over every F_p.
     """
     m, n = mat.shape
-    coo = mat.tocoo()
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    counts = np.diff(indptr)
     roots, labels = np.unique(
-        _component_roots(m + n, coo.row.astype(np.int64), m + coo.col.astype(np.int64)),
+        _component_roots(m + n, np.repeat(np.arange(m), counts), m + indices.astype(np.int64)),
         return_inverse=True,
     )
     count = len(roots)
     if count == 1:
-        return [(mat.shape, mat.indptr, mat.indices, mat.data)]
-    # renumber rows and columns block by block, then cut the diagonal
+        return [(mat.shape, indptr, indices, data)]
+    # renumber rows and columns block by block, then cut the diagonal;
+    # new row x is old row row_src[x], whose entries keep their order
     row_lab, col_lab = labels[:m], labels[m:]
-    row_pos = np.empty(m, dtype=np.int64)
-    row_pos[np.argsort(row_lab, kind="stable")] = np.arange(m)
+    row_src = np.argsort(row_lab, kind="stable")
     col_pos = np.empty(n, dtype=np.int64)
     col_pos[np.argsort(col_lab, kind="stable")] = np.arange(n)
-    perm = sp.csr_matrix((coo.data, (row_pos[coo.row], col_pos[coo.col])), shape=(m, n))
-    perm.sort_indices()
+    new_counts = counts[row_src]
+    new_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(new_counts, out=new_indptr[1:])
+    take = np.repeat(indptr[row_src] - new_indptr[:-1], new_counts) + np.arange(new_indptr[-1])
+    new_indices = col_pos[indices[take]]
+    new_data = data[take]
     row_ends = np.cumsum(np.bincount(row_lab, minlength=count))
     col_ends = np.cumsum(np.bincount(col_lab, minlength=count))
     blocks = []
@@ -633,13 +679,13 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
         r0, r1 = (int(row_ends[b - 1]) if b else 0), int(row_ends[b])
         c0, c1 = (int(col_ends[b - 1]) if b else 0), int(col_ends[b])
         if r0 < r1 and c0 < c1:
-            lo, hi = perm.indptr[r0], perm.indptr[r1]
+            lo, hi = new_indptr[r0], new_indptr[r1]
             blocks.append(
                 (
                     (r1 - r0, c1 - c0),
-                    perm.indptr[r0 : r1 + 1] - lo,
-                    perm.indices[lo:hi] - c0,
-                    perm.data[lo:hi],
+                    new_indptr[r0 : r1 + 1] - lo,
+                    new_indices[lo:hi] - c0,
+                    new_data[lo:hi],
                 )
             )
     return blocks
@@ -656,10 +702,11 @@ def _sum_over_blocks(mat: sp.csr_matrix, block_rank) -> int:
         return 0
     seen: dict[tuple, int] = {}
     total = 0
-    for shape, indptr, indices, data in _independent_blocks(mat):
+    for block in _independent_blocks(mat):
+        shape, indptr, indices, data = block
         key = (shape, indptr.tobytes(), indices.tobytes(), data.tobytes())
         if key not in seen:
-            seen[key] = block_rank(sp.csr_matrix((data, indices, indptr), shape=shape))
+            seen[key] = block_rank(block)
         total += seen[key]
     return total
 
@@ -670,40 +717,41 @@ def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
     The sum over the independent blocks of :func:`_block_rank_lb`, with
     needed capped at each block's smaller side.
     """
-    return _sum_over_blocks(mat, lambda blk: _block_rank_lb(blk, p, min(needed, *blk.shape)))
+    return _sum_over_blocks(mat, lambda block: _block_rank_lb(block, p, min(needed, *block[0])))
 
 
-def _block_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
+def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
     """Modular lower bound for the rank of one block, tuned to reach needed.
 
-    Rows and columns far beyond `needed` are compressed away by random
+    block holds CSR arrays (shape, indptr, indices, data).  Rows and
+    columns far beyond `needed` are compressed away by random
     small-coefficient projections (sparse-aware products, exact in
     int64 / float64), which can only lose rank and so keep the result a
-    valid lower bound.
+    valid lower bound.  Otherwise the block is ranked dense.
     """
-    rows, cols = mat.shape
+    shape, indptr, indices, data = block
+    rows, cols = shape
+    if needed + 32 >= max(rows, cols):
+        return rank_mod(_dense(*block), p)
     t = needed + 16
     rng = np.random.default_rng((rows * 1000003 + cols) & 0x7FFFFFFF)
-    if needed + 32 < max(rows, cols):
-        work = mat.copy()
-        work.data = work.data % p
-        dense = None
-        if rows > needed + 32:
-            # g @ work, computed as (work.T @ g.T).T to use the csc path;
-            # summands < 3p with < 2**16 of them: exact in int64
-            g_t = rng.integers(0, 4, size=(rows, min(t, rows)), dtype=np.int64)
-            dense = np.ascontiguousarray((work.T @ g_t).T) % p
-        if cols > needed + 32:
-            h = rng.integers(0, 4, size=(cols, min(t, cols)))
-            if dense is None:
-                dense = (work @ h) % p
-            else:
-                # dense (< p) against tiny coefficients: dot products
-                # stay below 3p * cols < 2**53, exact in float64
-                prod = dense.astype(np.float64) @ h.astype(np.float64)
-                dense = np.mod(prod, p).astype(np.int64)
-        return rank_mod(dense, p)
-    return rank_mod(_as_int_array(mat), p)
+    work = sp.csr_matrix((data % p, indices, indptr), shape=shape)
+    dense = None
+    if rows > needed + 32:
+        # g @ work, computed as (work.T @ g.T).T to use the csc path;
+        # summands < 3p with < 2**16 of them: exact in int64
+        g_t = rng.integers(0, 4, size=(rows, min(t, rows)), dtype=np.int64)
+        dense = np.ascontiguousarray((work.T @ g_t).T) % p
+    if cols > needed + 32:
+        h = rng.integers(0, 4, size=(cols, min(t, cols)))
+        if dense is None:
+            dense = (work @ h) % p
+        else:
+            # dense (< p) against tiny coefficients: dot products
+            # stay below 3p * cols < 2**53, exact in float64
+            prod = dense.astype(np.float64) @ h.astype(np.float64)
+            dense = np.mod(prod, p).astype(np.int64)
+    return rank_mod(dense, p)
 
 
 def _rank_exact_csr(mat: sp.csr_matrix) -> int:
@@ -711,11 +759,12 @@ def _rank_exact_csr(mat: sp.csr_matrix) -> int:
     return _sum_over_blocks(mat, _block_rank_exact)
 
 
-def _block_rank_exact(blk: sp.csr_matrix) -> int:
+def _block_rank_exact(block: tuple) -> int:
     """Exact rank of one block, certified by a kernel lifted from F_p to Q.
 
-    B is the block or its transpose, whichever has fewer columns (the
-    smaller kernel).  For each prime p of LIFT_PRIMES in turn, the RREF of
+    block holds CSR arrays (shape, indptr, indices, data).  B is the
+    block or its transpose, whichever has fewer columns (the smaller
+    kernel).  For each prime p of LIFT_PRIMES in turn, the RREF of
     B mod p gives r_p <= rank_Q(B) and a kernel basis mod p that is the
     identity on the n - r_p free columns.  The basis is carried to Q by
     the Chinese remainder theorem over the primes so far and rational
@@ -728,8 +777,11 @@ def _block_rank_exact(blk: sp.csr_matrix) -> int:
     skipped; a better one restarts the lift.  Bareiss elimination runs
     only when no lift passes its check.
     """
-    b = blk if blk.shape[1] <= blk.shape[0] else blk.T.tocsr()
-    dense = _as_int_array(b)
+    shape, indptr, indices, data = block
+    b = sp.csr_matrix((data, indices, indptr), shape=shape)
+    if shape[1] > shape[0]:
+        b = b.T.tocsr()
+    dense = _dense(b.shape, b.indptr, b.indices, b.data)
     n = dense.shape[1]
     best = None
     for p in LIFT_PRIMES:
@@ -808,8 +860,13 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
     h_i = 0 when that bound is d_i - r_prev.  Any other map is ranked
     exactly by :func:`_rank_exact_csr`.  method="exact" ranks every map
     whole by Bareiss elimination, independently of all of the above.
+
+    The length n comes from term_dims.  Position i < n reads map i, so a
+    complex assembled with build_complex(..., stop_at=t) serves the
+    first t positions; a position past them raises ValueError rather
+    than report a homology the missing map would change.
     """
-    n = len(c.maps)
+    n = len(c.term_dims) - 1
     limit = n + 1 if stop_at is None else min(stop_at, n + 1)
     r_prev = 0
     for i in range(limit):
@@ -817,14 +874,21 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
         if i == n:
             yield i, d_i - r_prev
             return
+        if i >= len(c.maps):
+            raise ValueError(
+                f"map {i} of this complex was not assembled "
+                f"(built with stop_at={len(c.maps)})"
+            )
         mat = c.maps[i]
         if method == "auto":
             needed = min(d_i - r_prev, *mat.shape)
             r_i = _cert_rank_lb(mat, MOD_PRIMES[0], needed)
             if r_i != needed:
                 r_i = _rank_exact_csr(mat)
+        elif mat.nnz:
+            r_i = rank_exact(_dense(mat.shape, mat.indptr, mat.indices, mat.data))
         else:
-            r_i = rank_exact(_as_int_array(mat)) if mat.nnz else 0
+            r_i = 0
         h_i = d_i - r_i - r_prev
         if h_i < 0:
             raise RuntimeError("negative homology dimension; rank bookkeeping bug")
@@ -855,7 +919,8 @@ def exactness_prefix(c: ComplexOfMatrices, stop_at=None, method: str = "auto") -
 
     With stop_at=t the walk ends after t positions, returning min(t,
     true prefix); that is enough to decide "prefix >= t" without
-    touching the larger matrices deeper in the complex.
+    touching the larger matrices deeper in the complex, so c may come
+    from build_complex(..., stop_at=t), which does not assemble them.
     """
     if method not in ("auto", "exact"):
         raise ValueError("method must be 'auto' or 'exact'")

@@ -200,7 +200,8 @@ def theorem_battery(
     the min because a complex with min(r, d) differentials cannot
     exhibit more than r leading steps.  Configurations whose bound is 0
     are counted as trivial and skipped.  With include_full_space, W = V
-    at j = 0 must additionally be exact at every interior step.
+    at j = 0 must additionally be exact at every interior step.  Each
+    complex is assembled only up to the maps its prefix check reads.
     """
     rng = random.Random(seed)
     failures = []
@@ -217,7 +218,7 @@ def theorem_battery(
                         continue
                     for _ in range(n_w):
                         W = random_subspace(q, k, rng)
-                        c = build_complex(datum, W, r, j)
+                        c = build_complex(datum, W, r, j, stop_at=target)
                         got = exactness_prefix(c, stop_at=target)
                         checked += 1
                         if got < target:
@@ -232,7 +233,7 @@ def theorem_battery(
             V = SubspaceW.full_space(q)
             for r in range(1, q + 1):
                 n = min(r, q)
-                c = build_complex(datum, V, r, 0)
+                c = build_complex(datum, V, r, 0, stop_at=n)
                 got = exactness_prefix(c, stop_at=n)
                 full_checked += 1
                 if got < n:

@@ -306,18 +306,28 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         (_BOUNDS, '{"q": 2, "d": 1, "h": [[1]]}', None, 3),
         (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, 0.9], [1.7, 0]]}', None, 3),
         (_COMPLEX + ("1",), '{"d": 1, "q": 1, "dims": [[1, 1.9], [1, 1]]}', None, 3),
+        (_COMPLEX + ("1",), b"\xff\xfe", None, 3),
+        (_BOUNDS, b"\xff\xfe", None, 3),
+        (
+            ("complex", "check", "--input", "FILE", "--r", "100", "--j", "1", "--w", "1,0;0,1"),
+            '{"d": 1, "q": 2, "dims": [[1, 100000000], [2, 100000000]], '
+            '"action": [{"a": 1, "i": 0, "j": 1, "entries": [[0, 0, "1"]]}]}',
+            None,
+            3,
+        ),
     ],
     ids=[
         "datum-entry-1/0", "datum-entry-1e400", "datum-entry-too-large-for-int64",
         "dense-rank-size-refusal", "w-entry-1/0", "hodge-1e400", "hodge-table-short-for-d",
-        "hodge-non-integer", "datum-dims-non-integer",
+        "hodge-non-integer", "datum-dims-non-integer", "datum-not-utf8", "hodge-not-utf8",
+        "differential-too-large-to-assemble",
     ],
 )
 def test_bad_numbers_short_tables_and_size_refusals_exit_codes(
     tmp_path, monkeypatch, capsys, argv, payload, dense_limit, code
 ):
     path = tmp_path / "input.json"
-    path.write_text(payload)
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     if dense_limit is not None:
         monkeypatch.setattr(cli.complexes, "_DENSE_RANK_LIMIT", dense_limit)
     got, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))

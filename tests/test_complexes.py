@@ -195,6 +195,30 @@ def test_curves_anchor_dims_homology_prefix():
     assert exactness_prefix(c, stop_at=1) == 1
 
 
+def test_truncated_assembly_serves_the_walk_up_to_stop_at():
+    rng = random.Random(20261019)
+    curves, W0 = curves_product_model()
+    for dat, extra in [(abelian_model(3), []), (abelian_model(4), []), (curves, [W0])]:
+        for W in [random_subspace(dat.q, k, rng) for k in (1, dat.q // 2 + 1)] + extra:
+            for r, j in itertools.product(range(1, dat.d + 2), range(dat.d + 1)):
+                full = build_complex(dat, W, r, j)
+                n = len(full.maps)
+                for t in range(n + 1):
+                    part = build_complex(dat, W, r, j, stop_at=t)
+                    assert part.term_dims == full.term_dims and part.labels == full.labels
+                    assert part.map_scales == full.map_scales[:t]
+                    assert len(part.maps) == t
+                    for a, b in zip(part.maps, full.maps):
+                        assert a.shape == b.shape and (a != b).nnz == 0
+                    assert exactness_prefix(part, stop_at=t) == exactness_prefix(full, stop_at=t)
+                    if t < n:
+                        with pytest.raises(ValueError, match="not assembled"):
+                            homology_dims(part)
+                assert homology_dims(part) == homology_dims(full)
+    with pytest.raises(ValueError):
+        build_complex(curves, W0, 2, 0, stop_at=-1)
+
+
 def test_full_space_koszul_exactness():
     dat = abelian_model(3)
     c = build_complex(dat, SubspaceW.full_space(3), 3, 0)
@@ -328,17 +352,25 @@ def _block(rng, rows, cols, rank):
     return rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(-3, 4, size=(rank, cols))
 
 
+def _reversed_rows(mat):
+    """mat as CSR arrays whose column indices run backwards inside each row."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    order = np.lexsort((-np.arange(mat.nnz), rows))
+    return sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
+
+
 def test_block_split_certificate(monkeypatch):
     rng = np.random.default_rng(20260819)
     twin = _block(rng, 60, 12, 12)  # tall enough that the projection runs
     half = _block(rng, 60, 12, 6)  # same shape as twin, other entries
     wide = _block(rng, 4, 50, 2)
     zero = np.zeros((3, 2), dtype=np.int64)
-    cases = [  # (blocks, empty rows, empty columns, distinct nonzero blocks)
-        ([twin, twin, _block(rng, 5, 7, 3), twin, half], 4, 3, 3),
-        ([_block(rng, 9, 9, 9), zero], 0, 5, 1),
-        ([wide, wide, wide, _block(rng, 1, 1, 1), zero], 2, 0, 2),
-        ([zero, zero], 2, 2, 0),
+    cases = [  # (blocks, empty rows, empty columns, distinct nonzero blocks, reversed rows)
+        ([twin, twin, _block(rng, 5, 7, 3), twin, half], 4, 3, 3, False),
+        ([_block(rng, 9, 9, 9), zero], 0, 5, 1, False),
+        ([wide, wide, wide, _block(rng, 1, 1, 1), zero], 2, 0, 2, False),
+        ([zero, zero], 2, 2, 0, False),
+        ([half, twin, half, wide, twin], 3, 2, 3, True),
     ]
     ranked = []
     real_rank_mod = complexes.rank_mod
@@ -348,8 +380,11 @@ def test_block_split_certificate(monkeypatch):
         return real_rank_mod(a, p)
 
     monkeypatch.setattr(complexes, "rank_mod", counting_rank_mod)
-    for blocks, empty_rows, empty_cols, distinct in cases:
+    for blocks, empty_rows, empty_cols, distinct, reverse in cases:
         mat = _interleaved_blocks(rng, blocks, empty_rows, empty_cols)
+        if reverse:
+            mat = _reversed_rows(mat)
+            assert not mat.has_sorted_indices
         found = [
             sp.csr_matrix((data, indices, indptr), shape=shape).toarray()
             for shape, indptr, indices, data in complexes._independent_blocks(mat)
@@ -368,6 +403,32 @@ def test_block_split_certificate(monkeypatch):
                 assert len(ranked) == distinct
         if blocks[0] is twin:
             assert exact == 3 * 12 + 3 + 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    entries=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-3, 3)), max_size=30
+    ),
+    cancelled=st.lists(st.integers(0, 29), max_size=10),
+    parts=st.integers(1, 4),
+)
+def test_assembly_matches_scipy_coo_to_csr(m, n, entries, cancelled, parts):
+    # duplicated positions are summed, and the negated copies make some
+    # of the sums cancel to zero
+    entries = [(r % m, c % n, v) for r, c, v in entries]
+    entries += [(r, c, -v) for r, c, v in (entries[i % len(entries)] for i in cancelled if entries)]
+    rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    got = complexes._canonical_csr(
+        (m, n), np.array_split(rows * n + cols, parts), np.array_split(vals, parts)
+    )
+    want = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
+    want.eliminate_zeros()
+    assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_auto_matches_exact_on_split_abelian_maps():
