@@ -17,12 +17,16 @@ map (denominators of W and of the datum are cleared once), so rank and
 homology computations run on integers and remain exact.
 
 Every rank is certified per independent block of its map (the connected
-components of the row/column graph).  A modular rank is the lower
-bound.  The upper bound is min(shape) or d_i - r_prev where the lower
-bound meets one of them; elsewhere it comes from a kernel computed mod
-p, lifted to Q by CRT and rational reconstruction, and checked exactly.
-Bareiss elimination is the last resort when no lift checks out, and the
-whole-map oracle behind method="exact".
+components of the row/column graph).  The lower bound is a rank mod p,
+found in this order and only as far as needed: the structural pivots
+(rows with distinct leading columns, already in echelon form), then,
+for blocks far larger than the rank sought, the Schur complement of
+those pivots, and then a dense modular elimination of the block or of
+that complement.  The upper bound is min(shape) or d_i - r_prev where
+the lower bound meets one of them; elsewhere it comes from a kernel
+computed mod p, lifted to Q by CRT and rational reconstruction, and
+checked exactly.  Bareiss elimination is the last resort when no lift
+checks out, and the whole-map oracle behind method="exact".
 """
 
 from __future__ import annotations
@@ -139,7 +143,8 @@ class SubspaceW:
     """A k-dimensional subspace of V given by k independent basis columns.
 
     Each column has length q and exact rational coordinates in the
-    v_a basis of V.
+    v_a basis of V.  Independence is checked by Bareiss elimination on
+    the columns with their common denominator cleared, in Python ints.
     """
 
     __slots__ = ("q", "k", "columns")
@@ -154,7 +159,9 @@ class SubspaceW:
         self.q = q
         self.k = len(cols)
         self.columns = cols
-        if self.k > q or rank_exact(list(zip(*cols))) != self.k:
+        mult = lcm(*(x.denominator for col in cols for x in col))
+        ints = [[x.numerator * (mult // x.denominator) for x in col] for col in cols]
+        if self.k > q or rank_exact(ints) != self.k:
             raise ValueError("basis columns are linearly dependent")
 
     @classmethod
@@ -482,6 +489,18 @@ def _compose_is_zero(later: sp.csr_matrix, earlier: sp.csr_matrix) -> bool:
     return a.compose(b).is_zero()
 
 
+def term_dims(datum: HodgeDatum, k: int, r: int, j: int) -> tuple[int, ...]:
+    """Dimensions of the n + 1 terms of the (r, j) complex over a k-dimensional W.
+
+    Term i is Sym^{r-i} W (x) H^j(Omega^i), for i = 0..n, n = min(r, d).
+    """
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if not (0 <= j <= datum.d):
+        raise ValueError(f"need 0 <= j <= d={datum.d}")
+    return tuple(comb(r - i + k - 1, k - 1) * datum.dims[i][j] for i in range(min(r, datum.d) + 1))
+
+
 def build_complex(
     datum: HodgeDatum, W: SubspaceW, r: int, j: int, stop_at=None
 ) -> ComplexOfMatrices:
@@ -498,14 +517,11 @@ def build_complex(
     """
     if W.q != datum.q:
         raise ValueError(f"W lives in dimension {W.q}, datum has q={datum.q}")
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if not (0 <= j <= datum.d):
-        raise ValueError(f"need 0 <= j <= d={datum.d}")
     if stop_at is not None and stop_at < 0:
         raise ValueError("need stop_at >= 0")
+    dims = term_dims(datum, W.k, r, j)
     k = W.k
-    n = min(r, datum.d)
+    n = len(dims) - 1
     built = n if stop_at is None else min(stop_at, n)
 
     w_den = lcm(*(x.denominator for col in W.columns for x in col))
@@ -513,8 +529,6 @@ def build_complex(
     m_den = lcm(*(den for den, _, _ in int_acts))
     w_int = [[int(x * w_den) for x in col] for col in W.columns]
     scale = Fraction(1, w_den * m_den)
-
-    term_dims = [comb(r - i + k - 1, k - 1) * datum.dims[i][j] for i in range(n + 1)]
 
     maps = []
     for i in range(built):
@@ -561,7 +575,7 @@ def build_complex(
             raise RuntimeError("composition-zero failed with a consistent datum")
 
     return ComplexOfMatrices(
-        term_dims=tuple(term_dims),
+        term_dims=dims,
         maps=tuple(maps),
         map_scales=tuple([scale] * built),
         labels=(r, j, n, "multiset-lex"),
@@ -600,17 +614,22 @@ def _canonical_csr(shape, flat_parts, vals_parts) -> sp.csr_matrix:
 _DENSE_RANK_LIMIT = 60_000_000
 
 
+def _refuse_dense(shape) -> None:
+    """Refuse, as a DataError, a dense array of more than _DENSE_RANK_LIMIT entries."""
+    if shape[0] * shape[1] > _DENSE_RANK_LIMIT:
+        raise DataError(
+            f"matrix of shape {tuple(shape)} is too large for a dense rank; "
+            "restrict the requested homology window"
+        )
+
+
 def _dense(shape, indptr, indices, data) -> np.ndarray:
     """The CSR arrays of a matrix scattered into a dense int64 array.
 
     Entries at a repeated position are summed, as scipy does.  Refuses,
     as a DataError, a matrix with more than _DENSE_RANK_LIMIT entries.
     """
-    if shape[0] * shape[1] > _DENSE_RANK_LIMIT:
-        raise DataError(
-            f"matrix of shape {shape} is too large for a dense rank; "
-            "restrict the requested homology window"
-        )
+    _refuse_dense(shape)
     out = np.zeros(shape, dtype=np.int64)
     np.add.at(out, (np.repeat(np.arange(shape[0]), np.diff(indptr)), indices), data)
     return out
@@ -712,46 +731,177 @@ def _sum_over_blocks(mat: sp.csr_matrix, block_rank) -> int:
 
 
 def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
-    """Modular lower bound for rank(mat), tuned to certify >= needed.
+    """Lower bound for rank(mat) over F_p, hence over Q, capped at needed.
 
     The sum over the independent blocks of :func:`_block_rank_lb`, with
-    needed capped at each block's smaller side.
+    needed capped at each block's smaller side.  Each block tries its
+    structural pivots, then the Schur complement of those pivots, then a
+    dense modular rank, each only when the one before falls short; where
+    the sum still falls short, the walk ranks mat by the lifted kernels
+    of :func:`_rank_exact_csr`.  Whenever no block is projected the
+    result is min(needed, rank_p(mat)).
     """
-    return _sum_over_blocks(mat, lambda block: _block_rank_lb(block, p, min(needed, *block[0])))
+    if not mat.has_canonical_format:
+        # a row's first stored entry is taken as its leading one, which
+        # needs sorted column indices and summed duplicates
+        mat = mat.copy()
+        mat.sum_duplicates()
+    total = _sum_over_blocks(mat, lambda block: _block_rank_lb(block, p, min(needed, *block[0])))
+    return min(needed, total)
 
 
 def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
-    """Modular lower bound for the rank of one block, tuned to reach needed.
+    """Lower bound for the rank of one block over F_p, aimed at needed.
 
-    block holds CSR arrays (shape, indptr, indices, data).  Rows and
-    columns far beyond `needed` are compressed away by random
-    small-coefficient projections (sparse-aware products, exact in
-    int64 / float64), which can only lose rank and so keep the result a
-    valid lower bound.  Otherwise the block is ranked dense.
+    block holds canonical CSR arrays (shape, indptr, indices, data).  The
+    steps run in this order, each only when the one before falls short
+    of needed:
+
+    1. The k structural pivots of :func:`_structural_pivots`, which need
+       no arithmetic.
+    2. For a block far larger than needed (max side > needed + 32), the
+       Schur complement S of the pivots: rank_p(block) = k + rank_p(S),
+       and :func:`_schur_rank_lb` bounds rank_p(S).
+    3. Otherwise the block is ranked dense by :func:`rank_mod`.
+    """
+    shape = block[0]
+    piv_rows, piv_cols = _structural_pivots(block, p)
+    k = len(piv_rows)
+    if k >= needed:
+        return k
+    if needed + 32 >= max(shape):
+        return rank_mod(_dense(*block), p)
+    return k + _schur_rank_lb(block, p, needed - k, piv_rows, piv_cols)
+
+
+def _structural_pivots(block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot rows of a canonical CSR block mod p, and their leading columns.
+
+    A row's leading column is its first one with an entry nonzero mod p.
+    Returns (piv_rows, piv_cols): for each distinct leading column
+    piv_cols[i], in increasing order, one row piv_rows[i] leading there.
+    Ordered by their leading columns these rows are in echelon form, so
+    they are independent mod p and their number is a lower bound for
+    rank_p (Faugere and Lachartre's structural pivots).
     """
     shape, indptr, indices, data = block
-    rows, cols = shape
-    if needed + 32 >= max(rows, cols):
-        return rank_mod(_dense(*block), p)
+    # positions of the entries nonzero mod p, then the first one at or
+    # after each row start: the row's leading entry when still in the row
+    live = np.append(np.flatnonzero(data % p), len(data))
+    first = live[np.searchsorted(live, indptr[:-1])]
+    lead_rows = np.flatnonzero(first < indptr[1:])
+    row_at = np.full(shape[1], -1)
+    row_at[indices[first[lead_rows]]] = lead_rows
+    piv_cols = np.flatnonzero(row_at >= 0)
+    return row_at[piv_cols], piv_cols
+
+
+def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int:
+    """Lower bound for rank_p(S), S the Schur complement of the pivot block.
+
+    With the pivots of :func:`_structural_pivots`, order the rows and
+    columns of the block as [[A, B], [C, D]]: A the pivot rows at their
+    leading columns, upper triangular with a diagonal nonzero mod p, B
+    the rest of the pivot rows, C the rest of the pivot columns and D the
+    remainder.  Then S = D - C A^{-1} B and, A being invertible mod p,
+    rank_p(block) = k + rank_p(S) (Guttman's rank additivity).
+
+    A side of S longer than needed + 32 is compressed by a random
+    projection with coefficients in [0, 4), which can only lose rank;
+    the column projection h is applied to B and D before the solve, so
+    only X = A^{-1} (B h) and S h are formed, and a row projection g
+    then takes g (S h).  A X = B is solved by level scheduling: a pivot
+    whose row of A is diagonal has level 0, any other one more than the
+    highest level its row reaches, so the rows of a level depend only on
+    lower levels and each level is one CSR slice times the dense X.
+
+    Every product is exact.  The int64 ones (B h, the level products and
+    C X) sum at most max(m, n) terms below p**2 each, and the float64 row
+    projection at most m terms below 3p; the check below keeps the first
+    under 2**62 and the second under 2**53, which for MOD_PRIMES allows
+    2**24 rows or columns.  The dense arrays (B and D stacked, then X
+    and S in the same room) are refused past _DENSE_RANK_LIMIT entries.
+    """
+    shape, indptr, indices, data = block
+    m, n = shape
+    if max(m, n) * p * p >= 2**62 or 3 * m * p >= 2**53:
+        raise ValueError("modulus too large for the exact integer budget")
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    vals = data % p
+    live = vals != 0
+    rows, cols, vals = rows[live], indices[live].astype(np.int64), vals[live]
+    k = len(piv_rows)
+    rng = np.random.default_rng((m * 1000003 + n) & 0x7FFFFFFF)
     t = needed + 16
-    rng = np.random.default_rng((rows * 1000003 + cols) & 0x7FFFFFFF)
-    work = sp.csr_matrix((data % p, indices, indptr), shape=shape)
-    dense = None
-    if rows > needed + 32:
-        # g @ work, computed as (work.T @ g.T).T to use the csc path;
-        # summands < 3p with < 2**16 of them: exact in int64
-        g_t = rng.integers(0, 4, size=(rows, min(t, rows)), dtype=np.int64)
-        dense = np.ascontiguousarray((work.T @ g_t).T) % p
-    if cols > needed + 32:
-        h = rng.integers(0, 4, size=(cols, min(t, cols)))
-        if dense is None:
-            dense = (work @ h) % p
-        else:
-            # dense (< p) against tiny coefficients: dot products
-            # stay below 3p * cols < 2**53, exact in float64
-            prod = dense.astype(np.float64) @ h.astype(np.float64)
-            dense = np.mod(prod, p).astype(np.int64)
-    return rank_mod(dense, p)
+    pivot_of_row = np.full(m, -1)
+    pivot_of_row[piv_rows] = np.arange(k)
+    pivot_of_col = np.full(n, -1)
+    pivot_of_col[piv_cols] = np.arange(k)
+    rest_rows = np.flatnonzero(pivot_of_row < 0)
+    rest_cols = np.flatnonzero(pivot_of_col < 0)
+
+    # levels of the pivots, from the strictly upper entries of A
+    i, j = pivot_of_row[rows], pivot_of_col[cols]
+    upper = (i >= 0) & (j > i)
+    up_i, up_j = i[upper], j[upper]
+    level = np.zeros(k, dtype=np.int64)
+    while True:
+        raised = level.copy()
+        np.maximum.at(raised, up_i, level[up_j] + 1)
+        if np.array_equal(raised, level):
+            break
+        level = raised
+    order = np.argsort(level, kind="stable")  # the pivot at each solve position
+    pos = np.empty(k, dtype=np.int64)
+    pos[order] = np.arange(k)
+    ends = np.cumsum(np.bincount(level, minlength=1))
+    diag = np.empty(k, dtype=np.int64)
+    on_diag = (i >= 0) & (j == i)
+    diag[pos[i[on_diag]]] = vals[on_diag]
+    values, which = np.unique(diag, return_inverse=True)
+    inverse = np.array([pow(int(x), -1, p) for x in values], dtype=np.int64)[which]
+
+    # B and D side by side: the rest columns, or h applied to them
+    project = len(rest_cols) > needed + 32
+    width = t if project else len(rest_cols)
+    _refuse_dense((m, width))
+    if project:
+        h = np.zeros((n, t), dtype=np.int64)
+        h[rest_cols] = rng.integers(0, 4, size=(len(rest_cols), t))
+        right = sp.csr_matrix((data % p, indices, indptr), shape=shape) @ h % p
+    else:
+        col_at = np.full(n, -1)
+        col_at[rest_cols] = np.arange(width)
+        keep = col_at[cols] >= 0
+        right = np.zeros((m, width), dtype=np.int64)
+        right[rows[keep], col_at[cols[keep]]] = vals[keep]
+
+    # X = A^{-1} B level by level, A's rows and columns in solve order
+    a_rows, a_cols, a_vals = pos[up_i], pos[up_j], vals[upper]
+    by_row = np.argsort(a_rows, kind="stable")
+    a_cols, a_vals = a_cols[by_row], a_vals[by_row]
+    a_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a_rows, minlength=k), out=a_ptr[1:])
+    x = right[piv_rows[order]]
+    x[: ends[0]] = x[: ends[0]] * inverse[: ends[0], None] % p
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        first, last = a_ptr[lo], a_ptr[hi]
+        a_level = sp.csr_matrix(
+            (a_vals[first:last], a_cols[first:last], a_ptr[lo : hi + 1] - first),
+            shape=(hi - lo, k),
+        )
+        x[lo:hi] = (x[lo:hi] - a_level @ x) % p * inverse[lo:hi, None] % p
+
+    # S = D - C X, with C's rows the rest rows and its columns in solve order
+    in_c = (i < 0) & (j >= 0)
+    c_ptr = np.zeros(len(rest_rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[in_c], minlength=m)[rest_rows], out=c_ptr[1:])
+    c = sp.csr_matrix((vals[in_c], pos[j[in_c]], c_ptr), shape=(len(rest_rows), k))
+    s = (right[rest_rows] - c @ x) % p
+    if len(rest_rows) > needed + 32:
+        g = rng.integers(0, 4, size=(t, len(rest_rows))).astype(np.float64)
+        s = np.mod(g @ s.astype(np.float64), p).astype(np.int64)
+    return rank_mod(s, p)
 
 
 def _rank_exact_csr(mat: sp.csr_matrix) -> int:

@@ -50,13 +50,14 @@ def _int_rows(matrix: Iterable[Sequence]) -> list[list[int]]:
     """Copy ``matrix`` into integer rows, clearing denominators per row.
 
     Scaling a row by a positive integer does not change the rank, so each
-    row is multiplied by the lcm of its entries' denominators.
+    row is multiplied by the lcm of its entries' denominators.  Python
+    ints are taken as they are, and the scaling stays in integers.
     """
     rows = []
     for row in matrix:
-        vals = [Fraction(x) for x in row]
+        vals = [x if type(x) is int else Fraction(x) for x in row]
         mult = lcm(*(v.denominator for v in vals)) if vals else 1
-        rows.append([int(v * mult) for v in vals])
+        rows.append([v.numerator * (mult // v.denominator) for v in vals])
     return rows
 
 

@@ -167,6 +167,33 @@ def test_complex_check_schema_and_values(tmp_path, capsys):
     assert "e2" in results and results["e2"]["r"] == 1
 
 
+def test_complex_check_e2_table_builds_each_j_once(tmp_path, monkeypatch, capsys):
+    datum_path = tmp_path / "ab3.json"
+    run(capsys, "model", "abelian", "--q", "3", "--emit-datum", str(datum_path))
+    argv = (
+        "complex", "check", "--input", str(datum_path),
+        "--w", "1,0,0;0,1,1", "--r", "2", "--j", "1", "--format", "json",
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    alone = json.loads(out)["results"]
+    built = []
+    real_build = cli.complexes.build_complex
+
+    def counting_build(datum, W, r, j, stop_at=None):
+        built.append((r, j))
+        return real_build(datum, W, r, j, stop_at)
+
+    monkeypatch.setattr(cli.complexes, "build_complex", counting_build)
+    code, out, _ = run(capsys, *argv, "--e2-table")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert sorted(built) == [(2, j) for j in range(4)]
+    # the requested homology is the table's column j, as ranked alone
+    assert {key: results[key] for key in alone} == alone
+    assert [row[1] for row in results["e2"]["entries"]] == alone["homology"]
+
+
 def test_curves_example_and_datum_round_trip(tmp_path, capsys):
     datum_path = tmp_path / "curves.json"
     code, out, _ = run(
@@ -300,7 +327,14 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         (_COMPLEX + ("1",), _datum('"1/0"'), None, 3),
         (_COMPLEX + ("1",), _datum("1e400"), None, 3),
         (_COMPLEX + ("1",), _datum(str(10**40)), None, 3),
-        (_COMPLEX + ("1",), _datum("1"), 0, 3),
+        (
+            ("complex", "check", "--input", "FILE", "--r", "1", "--j", "0", "--w", "1,1;1,2"),
+            '{"d": 1, "q": 2, "dims": [[1, 0], [2, 0]], "action": ['
+            '{"a": 1, "i": 0, "j": 0, "matrix": [[1], [0]]}, '
+            '{"a": 2, "i": 0, "j": 0, "matrix": [[0], [1]]}]}',
+            0,
+            3,
+        ),
         (_COMPLEX + ("1/0",), _datum("1"), None, 2),
         (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, 1e400], [1, 0]]}', None, 3),
         (_BOUNDS, '{"q": 2, "d": 1, "h": [[1]]}', None, 3),

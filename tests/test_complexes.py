@@ -27,7 +27,7 @@ from bggx.complexes import (
     homology_dims,
 )
 from bggx.models import abelian_model, curve_datum, curves_product_model, random_subspace
-from bggx.ratlinalg import LIFT_PRIMES, MOD_PRIMES, rank_exact
+from bggx.ratlinalg import LIFT_PRIMES, MOD_PRIMES, rank_exact, rank_mod
 
 
 def test_sparserat_basics():
@@ -368,7 +368,7 @@ def test_block_split_certificate(monkeypatch):
     cases = [  # (blocks, empty rows, empty columns, distinct nonzero blocks, reversed rows)
         ([twin, twin, _block(rng, 5, 7, 3), twin, half], 4, 3, 3, False),
         ([_block(rng, 9, 9, 9), zero], 0, 5, 1, False),
-        ([wide, wide, wide, _block(rng, 1, 1, 1), zero], 2, 0, 2, False),
+        ([wide, wide, wide, _block(rng, 3, 3, 2), zero], 2, 0, 2, False),
         ([zero, zero], 2, 2, 0, False),
         ([half, twin, half, wide, twin], 3, 2, 3, True),
     ]
@@ -403,6 +403,102 @@ def test_block_split_certificate(monkeypatch):
                 assert len(ranked) == distinct
         if blocks[0] is twin:
             assert exact == 3 * 12 + 3 + 6
+
+
+def _staircase(rng, rows, cols, p, density):
+    """Random sparse integer rows in shuffled, loose echelon form.
+
+    Leading columns are drawn with repeats, half of the leading entries
+    are multiples of p (so the leading entry mod p sits further right),
+    tails mix small entries with multiples of p, and about one row in
+    six is the sum of two others.
+    """
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for r, c in enumerate(rng.integers(0, cols, size=rows)):
+        a[r, c] = rng.choice([1, -2, 3, p, -2 * p, 3 * p])
+        tail = np.flatnonzero(rng.random(cols - c - 1) < density) + c + 1
+        a[r, tail] = rng.choice([-3, -1, 1, 2, p, -p], size=tail.size)
+    for r in np.flatnonzero(rng.random(rows) < 1 / 6):
+        a[r] = a[rng.integers(0, rows)] + a[rng.integers(0, rows)]
+    return a[rng.permutation(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from((3, 7, 524287)),
+    long_side=st.integers(1, 72),
+    short_side=st.integers(1, 14),
+    tall=st.booleans(),
+    density=st.sampled_from((0.05, 0.15, 0.4)),
+    needed=st.integers(0, 14),
+)
+def test_pivot_and_schur_bound_never_exceeds_exact_rank(
+    seed, p, long_side, short_side, tall, density, needed
+):
+    rng = np.random.default_rng(seed)
+    m, n = (long_side, short_side) if tall else (short_side, long_side)
+    dense = _staircase(rng, m, n, p, density)
+    mat = sp.csr_matrix(dense)
+    needed = min(needed, m, n)
+    rank_p = rank_mod(dense, p)
+    lb = complexes._cert_rank_lb(mat, p, needed)
+    assert lb <= min(needed, rank_exact(dense))
+    if max(m, n) <= 32:  # no block is long enough to be projected
+        assert lb == min(needed, rank_p)
+    # the Schur complement of the whole matrix's pivots, ranked without a
+    # projection whenever no side of S is 32 longer than the other
+    block = (mat.shape, mat.indptr, mat.indices, mat.data)
+    piv_rows, piv_cols = complexes._structural_pivots(block, p)
+    k = len(piv_rows)
+    if max(m, n) <= min(m, n) + 32:
+        s_rank = complexes._schur_rank_lb(block, p, min(m, n) - k, piv_rows, piv_cols)
+        assert k + s_rank == rank_p
+
+
+def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
+    calls = []
+    real_rank_mod = complexes.rank_mod
+
+    def counting_rank_mod(a, p):
+        calls.append(np.shape(a))
+        return real_rank_mod(a, p)
+
+    monkeypatch.setattr(complexes, "rank_mod", counting_rank_mod)
+    p = MOD_PRIMES[0]
+    rng = np.random.default_rng(11)
+    # 40 rows leading at distinct columns and 50 combinations of them,
+    # shuffled: pinned at 40 far past the projection size (90 rows), and
+    # a shuffled triangular 5 x 5 block pinned at 5
+    echelon = np.triu(rng.integers(-3, 4, size=(40, 40)), 1) + np.diag(rng.choice([-1, 1, 2], size=40))
+    combos = rng.integers(-2, 3, size=(50, 40)) @ echelon
+    tall = np.vstack([echelon, combos])[rng.permutation(90)]
+    small = np.triu(rng.integers(1, 4, size=(5, 5)))[rng.permutation(5)]
+    for block, rank in ((tall, 40), (small, 5)):
+        mat = sp.csr_matrix(block)
+        assert rank_exact(block) == rank
+        assert complexes._cert_rank_lb(mat, p, rank) == rank
+        assert not calls
+    # a leading entry divisible by p hides its pivot: ranked mod p again
+    small[np.flatnonzero(small[:, 0])[0], 0] = p
+    assert complexes._cert_rank_lb(sp.csr_matrix(small), p, 5) == rank_mod(small, p)
+    assert calls == [(5, 5)]
+
+
+def test_schur_complement_is_refused_past_the_dense_limit(monkeypatch):
+    # every row of a positive 80 x 10 block of rank 10 leads at column 0:
+    # one structural pivot, so the bound comes from S, whose side-by-side
+    # B and D take 80 x 9 entries
+    rng = np.random.default_rng(3)
+    block = rng.integers(1, 4, size=(80, 10))
+    assert rank_exact(block) == 10
+    mat = sp.csr_matrix(block)
+    p = MOD_PRIMES[0]
+    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9)
+    assert complexes._cert_rank_lb(mat, p, 10) == 10
+    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9 - 1)
+    with pytest.raises(DataError, match="too large for a dense rank"):
+        complexes._cert_rank_lb(mat, p, 10)
 
 
 @settings(max_examples=80, deadline=None)
