@@ -582,6 +582,11 @@ def _bound_identity_failures() -> list[str]:
 
 
 def _cmd_repro(args) -> RunReport:
+    if args.q_max < 2:
+        raise ValueError(
+            f"--q-max {args.q_max} gives an empty exactness battery:"
+            " it runs q = 2..--q-max"
+        )
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     sections = []
     failures: list[str] = []

@@ -35,7 +35,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -127,10 +127,6 @@ class SparseRat:
             rows[r][c] = v
         return rows
 
-    def denominator_lcm(self) -> int:
-        dens = [v.denominator for v in self.entries.values()]
-        return lcm(*dens) if dens else 1
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseRat)
@@ -184,6 +180,39 @@ class SubspaceW:
         ]
         return SubspaceW(new_cols)
 
+    def echelon(self) -> "SubspaceW":
+        """The same subspace in its reduced column-echelon basis.
+
+        Gauss-Jordan elimination, in Python ints, on the k x q matrix
+        whose rows are the basis columns with their common denominator
+        cleared; each row is kept primitive and divided by its pivot at
+        the end.  The pivots are the first k coordinates at which the
+        rows of W are independent, and column s of the result is 1 at
+        its own pivot and 0 before it and at every other pivot, so the
+        result depends on span(W) only.  By Cramer's rule each entry is
+        a ratio of k x k minors of W, over the minor at the pivots.
+        """
+        mult = lcm(*(x.denominator for col in self.columns for x in col))
+        rows = [[x.numerator * (mult // x.denominator) for x in col] for col in self.columns]
+        pivots = []
+        for a in range(self.q):
+            s = len(pivots)
+            t = next((t for t in range(s, self.k) if rows[t][a]), None)
+            if t is None:
+                continue
+            rows[s], rows[t] = rows[t], rows[s]
+            top = rows[s]
+            for u, row in enumerate(rows):
+                f = row[a]
+                if f and u != s:
+                    row = [top[a] * x - f * y for x, y in zip(row, top)]
+                    g = gcd(*row)
+                    rows[u] = [x // g for x in row]
+            pivots.append(a)
+            if s + 1 == self.k:
+                break
+        return SubspaceW([[Fraction(x, row[a]) for x in row] for row, a in zip(rows, pivots)])
+
     def to_json(self) -> dict:
         return {"columns": [[str(x) for x in col] for col in self.columns]}
 
@@ -198,11 +227,12 @@ class HodgeDatum:
     dims[i][j] = dim H^j(Omega^i) for 0 <= i, j <= d.  The action maps
     (a, i, j), with a in 1..q, to the matrix of wedging with v_a from
     H^j(Omega^i) to H^j(Omega^{i+1}); absent matrices are zero.  A datum
-    is not mutated after construction: the integer form of its action is
-    cached on the instance (see :meth:`int_action`).
+    is not mutated after construction: the split of each column into
+    equal summands, with their integer action, is cached on the instance
+    (see :meth:`summand`).
     """
 
-    __slots__ = ("d", "q", "dims", "action", "metadata", "_int_action")
+    __slots__ = ("d", "q", "dims", "action", "metadata", "_summands")
 
     def __init__(self, d, q, dims, action, metadata=None):
         self.d = whole_number(d)
@@ -239,41 +269,38 @@ class HodgeDatum:
                 acts[(a, i, j)] = mat
         self.action = acts
         self.metadata = dict(metadata or {})
-        self._int_action: dict[tuple[int, int], tuple] = {}
+        self._summands: dict[int, tuple] = {}
 
     def action_matrix(self, a, i, j) -> SparseRat:
         want = (self.dims[i + 1][j], self.dims[i][j])
         mat = self.action.get((a, i, j))
         return mat if mat is not None else SparseRat(want)
 
-    def int_action(self, i: int, j: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The action at (i, j) with denominators cleared, cached per (i, j).
+    def summand(self, j: int) -> tuple[int, tuple[int, ...], tuple]:
+        """Column j as copies of one summand: (copies, sizes, acts), cached per j.
 
-        Returns (den, keys, stacked): den is the lcm of the denominators
-        of every M_a at (i, j), keys the sorted flat positions
-        row * dims[i][j] + col where some M_a is nonzero, and stacked the
-        q x len(keys) matrix whose row a - 1 holds den * M_a at those
-        positions; int64 when every entry is below 2**62 in magnitude,
-        exact Python ints otherwise.  Callers must not mutate the arrays.
+        The summands are the connected components of the graph that joins
+        the basis vectors of the pieces H^j(Omega^i), i = 0..d, wherever
+        some M_a has an entry between them.  Every M_a maps each one into
+        itself, so each (r, j) complex is the direct sum of the complexes
+        of the components.  When there are several, and they all have the
+        same size in every piece and the same action with their basis
+        vectors taken in the order of the column, copies is their number
+        and sizes and acts describe the first one; otherwise copies is 1
+        and they describe the whole column.
+
+        sizes[i] is the summand's dimension in piece i.  acts[i], for
+        i < d, is its action at (i, j) with denominators cleared:
+        (den, keys, stacked), den the lcm of the denominators of every
+        M_a there, keys the sorted flat positions row * sizes[i] + col
+        where some M_a is nonzero, and stacked the q x len(keys) matrix
+        whose row a - 1 holds den * M_a at those positions; int64 when
+        every entry is below 2**62 in magnitude, exact Python ints
+        otherwise.  Callers must not mutate the arrays.
         """
-        hit = self._int_action.get((i, j))
+        hit = self._summands.get(j)
         if hit is None:
-            h_src = self.dims[i][j]
-            mats = {
-                a: self.action[(a, i, j)]
-                for a in range(1, self.q + 1)
-                if (a, i, j) in self.action
-            }
-            den = lcm(*(m.denominator_lcm() for m in mats.values()))
-            keys = sorted({rr * h_src + cc for m in mats.values() for rr, cc in m.entries})
-            column = {key: pos for pos, key in enumerate(keys)}
-            stacked = np.zeros((self.q, len(keys)), dtype=object)
-            for a, m in mats.items():
-                for (rr, cc), v in m.entries.items():
-                    stacked[a - 1, column[rr * h_src + cc]] = int(v * den)
-            if all(abs(x) < 2**62 for x in stacked.flat):
-                stacked = stacked.astype(np.int64)
-            hit = self._int_action[(i, j)] = (den, np.array(keys, dtype=np.int64), stacked)
+            hit = self._summands[j] = _split_column(self, j)
         return hit
 
     def check_anticommutation(self):
@@ -344,6 +371,88 @@ class HodgeDatum:
         # number such as 1e400 that loads as float infinity (OverflowError)
         except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise DataError(f"malformed datum JSON: {exc}") from exc
+
+
+def _split_column(datum: HodgeDatum, j: int) -> tuple[int, tuple[int, ...], tuple]:
+    """The uncached :meth:`HodgeDatum.summand`."""
+    d, q = datum.d, datum.q
+    sizes = [datum.dims[i][j] for i in range(d + 1)]
+    # every stored entry of every M_a at (., j): a, piece, row, column, value
+    mats = [(a, i, m.entries) for (a, i, jj), m in sorted(datum.action.items()) if jj == j]
+    counts = [len(ent) for _, _, ent in mats]
+    a_ = np.repeat(np.array([a for a, _, _ in mats], dtype=np.int64), counts)
+    i_ = np.repeat(np.array([i for _, i, _ in mats], dtype=np.int64), counts)
+    rows, cols = np.array([rc for *_, ent in mats for rc in ent], dtype=np.int64).reshape(-1, 2).T
+    vals = [v for *_, ent in mats for v in ent.values()]
+
+    copies = 1
+    split = _equal_components(sizes, a_, i_, rows, cols, vals)
+    if split is not None:
+        copies, sizes, keep, rows, cols = split
+        a_, i_, rows, cols = a_[keep], i_[keep], rows[keep], cols[keep]
+        vals = [v for v, k in zip(vals, keep.tolist()) if k]
+
+    acts = []
+    for i in range(d):
+        at = np.flatnonzero(i_ == i)
+        # a piece too large for int64 positions is refused before assembly
+        dtype = np.int64 if sizes[i] * sizes[i + 1] < 2**63 else object
+        keys, pos = np.unique(rows[at].astype(dtype) * sizes[i] + cols[at], return_inverse=True)
+        here = [vals[x] for x in at.tolist()]
+        den = lcm(*(v.denominator for v in here))
+        stacked = np.zeros((q, len(keys)), dtype=object)
+        for a, x, v in zip(a_[at].tolist(), pos.tolist(), here):
+            stacked[a - 1, x] = v.numerator * (den // v.denominator)
+        if all(abs(x) < 2**62 for x in stacked.flat):
+            stacked = stacked.astype(np.int64)
+        acts.append((den, keys, stacked))
+    return copies, tuple(sizes), tuple(acts)
+
+
+def _equal_components(sizes, a_, i_, rows, cols, vals):
+    """The first of several equal components of a column, or None.
+
+    The column has pieces of dimensions sizes, and entry e of its action
+    is vals[e] at (rows[e], cols[e]) of M_{a_[e]} at piece i_[e].
+    Returns (count, sizes, keep, rows, cols): the number of components,
+    the first one's dimensions, the mask of its entries, and every
+    entry's row and column renumbered inside its own component.
+    """
+    d = len(sizes) - 1
+    nodes = sum(sizes)
+    # a basis vector on no edge would be a component on its own
+    if not 0 < nodes <= 2 * len(vals):
+        return None
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    src, dst = start[i_] + cols, start[i_ + 1] + rows
+    if np.unique(np.concatenate((src, dst))).size < nodes:
+        return None
+    _, comp = np.unique(_component_roots(nodes, src, dst), return_inverse=True)
+    count = int(comp.max()) + 1
+    if count == 1:
+        return None
+    group = comp * (d + 1) + np.repeat(np.arange(d + 1), sizes)
+    per = np.bincount(group, minlength=count * (d + 1))
+    # each node's position among its component's nodes in its piece
+    local = np.empty(nodes, dtype=np.int64)
+    first = np.repeat(np.cumsum(per) - per, per)
+    local[np.argsort(group, kind="stable")] = np.arange(nodes) - first
+    lr, lc, e_comp = local[dst], local[src], comp[src]
+    per = per.reshape(count, d + 1)
+    n_entries = np.bincount(e_comp, minlength=count)
+    if (per != per[0]).any() or (n_entries != n_entries[0]).any():
+        return None
+    # the components side by side, entries in (a, piece, row, column)
+    # order: equal components give equal rows of table
+    seen = {}  # keyed by int pairs, which hash far faster than Fractions
+    ids = np.array(
+        [seen.setdefault((v.numerator, v.denominator), len(seen)) for v in vals], dtype=np.int64
+    )
+    order = np.lexsort((lc, lr, i_, a_, e_comp))
+    table = np.stack((a_, i_, lr, lc, ids))[:, order].reshape(5, count, -1)
+    if (table != table[:, :1]).any():
+        return None
+    return count, per[0].tolist(), e_comp == 0, lr, lc
 
 
 def _kunneth(first: HodgeDatum, second: HodgeDatum, order=None) -> HodgeDatum:
@@ -440,15 +549,19 @@ def _contraction_coo(k: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray, np
 class ComplexOfMatrices:
     """Terms and integer differentials of one derivative complex.
 
-    maps[i] is the matrix of the i-th differential (term i to term i+1)
-    times the inverse of map_scales[i]; ranks and homology only ever see
-    the integer part, the scale matters for printing exact entries.
+    The complex is the direct sum of copies equal summands.  maps[i] is
+    the matrix of the i-th differential (term i to term i+1) of one
+    summand, times the inverse of map_scales[i]; term_dims are those of
+    the whole complex, so each summand's term i has dimension
+    term_dims[i] // copies.  Ranks and homology only ever see the
+    integer part, the scale matters for printing exact entries.
     """
 
     term_dims: tuple[int, ...]
     maps: tuple = field(hash=False)
     map_scales: tuple[Fraction, ...] = field(hash=False)
     labels: tuple = ()
+    copies: int = 1
 
     def __eq__(self, other):
         # the generated __eq__ would compare the scipy maps with their
@@ -457,6 +570,7 @@ class ComplexOfMatrices:
             return NotImplemented
         return (
             self.term_dims == other.term_dims
+            and self.copies == other.copies
             and self.map_scales == other.map_scales
             and self.labels == other.labels
             and len(self.maps) == len(other.maps)
@@ -471,15 +585,18 @@ class ComplexOfMatrices:
         return len(self.term_dims)
 
     def map_dense(self, i: int) -> list[list[Fraction]]:
-        """Exact rational entries of the i-th differential."""
+        """Exact rational entries of the i-th differential of one summand."""
         s = self.map_scales[i]
         return [[x * s for x in row] for row in self.maps[i].toarray().tolist()]
 
 
 def _compose_is_zero(later: sp.csr_matrix, earlier: sp.csr_matrix) -> bool:
-    mx_l = int(abs(later.data).max()) if later.nnz else 0
-    mx_e = int(abs(earlier.data).max()) if earlier.nnz else 0
-    if mx_l * mx_e * max(later.shape[1], 1) < 2**62:
+    if not (later.nnz and earlier.nnz):
+        return True
+    # an entry of the product, and each partial sum of it, adds at most
+    # one term per entry of a row of later, each below mx_l * mx_e
+    mx_l, mx_e = int(abs(later.data).max()), int(abs(earlier.data).max())
+    if mx_l * mx_e * int(np.diff(later.indptr).max()) < 2**62:
         return (later @ earlier).count_nonzero() == 0
     # int64 could overflow: redo the product in exact big-int arithmetic
     lc = later.tocoo()
@@ -506,7 +623,10 @@ def build_complex(
 ) -> ComplexOfMatrices:
     """Assemble the (r, j) complex over W with exact integer matrices.
 
-    The length is always n = min(r, d), and term_dims lists all n + 1
+    Column j of the datum is copies equal summands (see
+    :meth:`HodgeDatum.summand`), and so is the complex: its maps are
+    those of one summand, its term_dims those of the whole complex.  The
+    length is always n = min(r, d), and term_dims lists all n + 1
     terms.  Without stop_at every differential is assembled; with
     stop_at=t only maps 0..min(t, n) - 1 are, which is exactly what
     exactness_prefix(c, stop_at=t) reads.  Compositions of consecutive
@@ -525,14 +645,15 @@ def build_complex(
     built = n if stop_at is None else min(stop_at, n)
 
     w_den = lcm(*(x.denominator for col in W.columns for x in col))
-    int_acts = [datum.int_action(i, j) for i in range(n)]
+    copies, sizes, acts = datum.summand(j)
+    int_acts = acts[:n]
     m_den = lcm(*(den for den, _, _ in int_acts))
     w_int = [[int(x * w_den) for x in col] for col in W.columns]
     scale = Fraction(1, w_den * m_den)
 
     maps = []
     for i in range(built):
-        h_src, h_dst = datum.dims[i][j], datum.dims[i + 1][j]
+        h_src, h_dst = sizes[i], sizes[i + 1]
         shape = (comb(r - i - 1 + k - 1, k - 1) * h_dst, comb(r - i + k - 1, k - 1) * h_src)
         if shape[0] * shape[1] >= 2**63:
             raise DataError(f"differential of shape {shape} is too large to assemble")
@@ -579,6 +700,7 @@ def build_complex(
         maps=tuple(maps),
         map_scales=tuple([scale] * built),
         labels=(r, j, n, "multiset-lex"),
+        copies=copies,
     )
 
 
@@ -1010,6 +1132,8 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
     h_i = 0 when that bound is d_i - r_prev.  Any other map is ranked
     exactly by :func:`_rank_exact_csr`.  method="exact" ranks every map
     whole by Bareiss elimination, independently of all of the above.
+    Either way the walk runs on one of the c.copies equal summands, with
+    d_i = term_dims[i] // c.copies, and yields c.copies * h_i.
 
     The length n comes from term_dims.  Position i < n reads map i, so a
     complex assembled with build_complex(..., stop_at=t) serves the
@@ -1020,9 +1144,9 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
     limit = n + 1 if stop_at is None else min(stop_at, n + 1)
     r_prev = 0
     for i in range(limit):
-        d_i = c.term_dims[i]
+        d_i = c.term_dims[i] // c.copies
         if i == n:
-            yield i, d_i - r_prev
+            yield i, c.copies * (d_i - r_prev)
             return
         if i >= len(c.maps):
             raise ValueError(
@@ -1042,7 +1166,7 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
         h_i = d_i - r_i - r_prev
         if h_i < 0:
             raise RuntimeError("negative homology dimension; rank bookkeeping bug")
-        yield i, h_i
+        yield i, c.copies * h_i
         r_prev = r_i
 
 
@@ -1118,12 +1242,3 @@ def e2_table(datum: HodgeDatum, W: SubspaceW, r: int, method: str = "auto") -> E
         for m in range(n + datum.d + 1)
     )
     return E2Table(r=r, entries=entries, hyper=hyper)
-
-
-def basis_change_invariance_check(
-    datum: HodgeDatum, W: SubspaceW, g: Sequence[Sequence], r: int, j: int
-) -> bool:
-    """Homology dims computed over W and over W.g agree (they must)."""
-    base = homology_dims(build_complex(datum, W, r, j))
-    changed = homology_dims(build_complex(datum, W.times(g), r, j))
-    return base == changed

@@ -201,7 +201,20 @@ def theorem_battery(
     exhibit more than r leading steps.  Configurations whose bound is 0
     are counted as trivial and skipped.  With include_full_space, W = V
     at j = 0 must additionally be exact at every interior step.  Each
-    complex is assembled only up to the maps its prefix check reads.
+    complex is assembled only up to the maps its prefix check reads, over
+    the echelon basis of its W (:meth:`SubspaceW.echelon`): the homology
+    depends on span(W) only, and the echelon basis has zeros that split
+    the maps into smaller blocks.  A failure records the drawn basis.
+
+    The echelon entries are larger than the drawn ones but stay inside
+    build_complex's int64 guards.  Six times a drawn entry is an integer
+    of size at most 54, and by Cramer's rule an echelon entry with the
+    common denominator cleared is a k x k minor of those integers: below
+    (54 sqrt(k))^k < 2**35 by Hadamard's bound for k < q, while k = q
+    gives the identity.  The abelian action is +-1, so the coefficients
+    of the assembly stay below q * 2**35 < 2**38 and its entries below
+    k * r * 2**38 < 2**44, far under 2**62.  Only the composition check
+    may, on extreme draws, take its exact Python-int path.
     """
     rng = random.Random(seed)
     failures = []
@@ -218,7 +231,7 @@ def theorem_battery(
                         continue
                     for _ in range(n_w):
                         W = random_subspace(q, k, rng)
-                        c = build_complex(datum, W, r, j, stop_at=target)
+                        c = build_complex(datum, W.echelon(), r, j, stop_at=target)
                         got = exactness_prefix(c, stop_at=target)
                         checked += 1
                         if got < target:

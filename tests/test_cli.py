@@ -288,6 +288,14 @@ def test_repro_default_seed_in_text(capsys):
     assert f"seed: {cli.DEFAULT_SEED}" in out
 
 
+def test_repro_with_an_empty_battery_exits_2(capsys):
+    # q = 2..--q-max: --q-max 1 would check nothing and report PASS
+    code, out, err = run(capsys, "repro", "--q-max", "1", "--n-w", "1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--q-max 1" in err
+
+
 def test_repro_names_tampered_anchor(monkeypatch, capsys):
     monkeypatch.setattr(cli.bgg, "g2_closed", lambda k: cli.bgg.g1_closed(k))
     code, out, _ = run(capsys, "repro", "--q-max", "2", "--n-w", "1")

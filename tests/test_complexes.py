@@ -20,7 +20,6 @@ from bggx.complexes import (
     HodgeDatum,
     SparseRat,
     SubspaceW,
-    basis_change_invariance_check,
     build_complex,
     e2_table,
     exactness_prefix,
@@ -36,7 +35,6 @@ def test_sparserat_basics():
     assert a.compose(b).dense() == [[2, 1], [Fraction(1, 3), 0]]
     assert a.plus(a).dense()[1][1] == Fraction(2, 3)
     assert not a.is_zero() and SparseRat((3, 2)).is_zero()
-    assert a.denominator_lcm() == 3
     assert a == SparseRat((2, 2), {(0, 0): 1, (0, 1): 2, (1, 1): Fraction(1, 3)})
     with pytest.raises(ValueError):
         SparseRat((2, 2), {(2, 0): 1})
@@ -269,6 +267,13 @@ def test_e2_table_curves_anchor():
     assert t.hyper == (0, 3, 55, 0, 0)
 
 
+def basis_change_invariance_check(datum, W, g, r, j) -> bool:
+    """Homology dims computed over W and over W.g agree (they must)."""
+    base = homology_dims(build_complex(datum, W, r, j))
+    changed = homology_dims(build_complex(datum, W.times(g), r, j))
+    return base == changed
+
+
 def test_basis_change_invariance():
     dat, W = curves_product_model()
     assert basis_change_invariance_check(dat, W, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, 0)
@@ -282,6 +287,110 @@ def test_basis_change_invariance():
             continue  # singular draw, resample next loop
     with pytest.raises(ValueError):
         basis_change_invariance_check(dat, W, [[1, 1, 0], [1, 1, 0], [0, 0, 1]], 2, 0)
+
+
+def test_echelon_basis_spans_w_and_depends_on_the_span_only():
+    rng = random.Random(20261020)
+    for q in range(1, 7):
+        for k in range(1, q + 1):
+            W = random_subspace(q, k, rng)
+            E = W.echelon()
+            assert (E.q, E.k) == (q, k)
+            assert rank_exact([*W.columns, *E.columns]) == k
+            # reduced: column s is 1 at its pivot, 0 before it and at the
+            # other pivots, and the pivots increase
+            pivots = [next(a for a, x in enumerate(col) if x) for col in E.columns]
+            assert pivots == sorted(set(pivots))
+            for s, col in enumerate(E.columns):
+                assert [col[p] for p in pivots] == [int(s == t) for t in range(k)]
+            g = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if rank_exact(g) == k:
+                assert W.times(g).echelon().columns == E.columns
+    assert SubspaceW([["1/2", 0, 1], [1, 1, 0]]).echelon().columns == (
+        (1, 0, 2), (0, 1, -2)
+    )
+
+
+def test_abelian_column_j_is_binomial_copies_of_column_0():
+    # column 0 is one summand and is ranked whole, so it is an oracle for
+    # the summand the walk ranks at column j
+    rng = random.Random(20261020)
+    for q in (2, 3, 4):
+        dat = abelian_model(q)
+        assert [dat.summand(j)[:2] for j in range(q + 1)] == [
+            (comb(q, j), tuple(comb(q, i) for i in range(q + 1))) for j in range(q + 1)
+        ]
+        for k in range(1, q + 1):
+            W = random_subspace(q, k, rng)
+            for r in range(1, q + 1):
+                first = build_complex(dat, W, r, 0)
+                assert first.copies == 1
+                h_first = homology_dims(first)
+                for j in range(q + 1):
+                    c = build_complex(dat, W, r, j)
+                    assert c.copies == comb(q, j)
+                    assert c.term_dims == tuple(comb(q, j) * d for d in first.term_dims)
+                    assert homology_dims(c) == tuple(comb(q, j) * h for h in h_first), (q, k, r, j)
+
+
+def test_curves_column_1_stays_whole():
+    # H^1 of C_3 x C_3 has two components of different sizes
+    dat, W = curves_product_model()
+    assert [dat.summand(j)[0] for j in range(3)] == [1, 1, 1]
+    c = build_complex(dat, W, 2, 1)
+    assert c.copies == 1 and c.maps[0].shape == (20 * 3, 6 * 6)
+
+
+def test_summands_that_differ_in_sign_are_not_merged():
+    # column 1 holds two components x_t -> y_t; they are equal when both
+    # maps are 1, and differ when one of them is -1
+    def datum(sign):
+        action = {(1, 0, 0): [[1]], (1, 0, 1): [[1, 0], [0, sign]]}
+        return HodgeDatum(1, 1, [[1, 2], [1, 2]], action)
+
+    W = SubspaceW([[1]])
+    for sign, copies, sizes in ((1, 2, (1, 1)), (-1, 1, (2, 2))):
+        dat = datum(sign)
+        assert dat.summand(1)[:2] == (copies, sizes)
+        c = build_complex(dat, W, 2, 1)
+        assert c.copies == copies and c.term_dims == (2, 2)
+        assert c.maps[0].toarray().tolist() == ([[2]] if sign == 1 else [[2, 0], [0, -2]])
+        assert homology_dims(c) == homology_dims(c, method="exact") == (0, 0)
+    # a basis vector on no edge keeps its column whole
+    lone = HodgeDatum(1, 1, [[1, 3], [1, 2]], {(1, 0, 1): [[1, 0, 0], [0, 1, 0]]})
+    assert lone.summand(1)[:2] == (1, (3, 2))
+    assert homology_dims(build_complex(lone, W, 1, 1)) == (1, 0)
+
+
+def test_homology_over_coordinate_random_and_echelon_w_agree():
+    # GL(V) acts on the abelian datum and carries every k-dimensional W
+    # to W_k = span(e_1..e_k): the homology depends on (q, k, r, j) only.
+    # W_k gives +-1 entries in many small blocks, a random W dense
+    # rational maps, and its echelon basis the same span once more
+    rng = random.Random(20261020)
+    for q in (2, 3, 4, 5):
+        dat = abelian_model(q)
+        for k in range(1, q + 1):
+            spaces = [SubspaceW([[int(a == t) for a in range(q)] for t in range(k)])]
+            for _ in range(2):
+                W = random_subspace(q, k, rng)
+                spaces += [W, W.echelon()]
+            for r, j in itertools.product(range(1, q + 1), range(q + 1)):
+                dims = {homology_dims(build_complex(dat, W, r, j)) for W in spaces}
+                assert len(dims) == 1, (q, k, r, j, dims)
+
+
+def test_composition_check_is_exact_past_int64():
+    # (2**32)**2 wraps to 0 in int64: the check must not take that product
+    big = sp.csr_matrix(np.array([[2**32]], dtype=np.int64))
+    assert not complexes._compose_is_zero(big, big)
+    # entries near 2**40 whose products still fit: one term per entry of
+    # a row of later, here 2
+    later = sp.csr_matrix(np.array([[2**20, 2**20]], dtype=np.int64))
+    earlier = sp.csr_matrix(np.array([[2**40], [-(2**40)]], dtype=np.int64))
+    assert complexes._compose_is_zero(later, earlier)
+    assert not complexes._compose_is_zero(later, 3 * abs(earlier))
+    assert complexes._compose_is_zero(later, sp.csr_matrix((2, 1), dtype=np.int64))
 
 
 def test_anticommutation_fault_is_diagnosed():
@@ -528,12 +637,14 @@ def test_assembly_matches_scipy_coo_to_csr(m, n, entries, cancelled, parts):
 
 
 def test_auto_matches_exact_on_split_abelian_maps():
+    # the maps hold one summand of column j; over a coordinate W they
+    # still split into blocks, one per multidegree
     rng = random.Random(20260819)
     for q in (3, 4):
         dat = abelian_model(q)
         for _ in range(3):
             k = rng.randint(1, q)
-            W = random_subspace(q, k, rng)
+            W = SubspaceW([[int(a == t) for a in range(q)] for t in rng.sample(range(q), k)])
             r = rng.randint(2, q)
             j = rng.randint(1, q - 1)
             c = build_complex(dat, W, r, j)

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from bggx import models
 from bggx.complexes import SubspaceW, e2_table
 from bggx.models import (
     BatteryReport,
@@ -132,6 +133,27 @@ def test_battery_accounting_small():
     js = rep.to_json()
     assert js["passed"] is True and js["seed"] == rep.seed
     assert js["q_values"] == [2]
+
+
+def test_battery_failures_record_the_drawn_basis(monkeypatch):
+    # the complexes are built over W.echelon(), but a failure names the
+    # W that was drawn, so a failing cell can be rebuilt from the record
+    built_over = []
+    real_build = models.build_complex
+
+    def build(datum, W, r, j, stop_at=None):
+        built_over.append(W.columns)
+        return real_build(datum, W, r, j, stop_at=stop_at)
+
+    monkeypatch.setattr(models, "build_complex", build)
+    monkeypatch.setattr(models, "exactness_prefix", lambda c, stop_at: 0)
+    rep = theorem_battery(q_values=(3,), n_w=2, seed=5, include_full_space=False)
+    rng = random.Random(5)
+    assert len(rep.failures) == rep.checked == len(built_over) > 0
+    for failure, used in zip(rep.failures, built_over):
+        drawn = random_subspace(3, failure["k"], rng)
+        assert failure["W"] == drawn.to_json()["columns"]
+        assert used == drawn.echelon().columns
 
 
 def test_battery_dense_small_grid():
