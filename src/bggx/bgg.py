@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 from .coefpoly import CoefPoly, hq_poly
-from .partitions import box_partitions, horizontal_extensions, strictly_bigger
-from .schur import grassmannian, stable
+from .partitions import box_partitions, strictly_bigger
+from .schur import SchubertExpr, grassmannian, stable
 from .series import (
     GradedSeries,
     chern_S,
@@ -50,27 +51,50 @@ def rank_lower_bound(k: int, q: int) -> int:
 def chern_F(k: int, q: int) -> GradedSeries:
     """c(F) = c(Sym^2 S) * c(Q)^q on Gr(k,q), complete through degree k(q-k).
 
-    The q-th power of c(Q) is applied as q passes of "extend by a horizontal
-    strip of any size", which is how multiplication by 1 + sigma_1 + sigma_2
-    + ... acts on the Schubert basis. No truncation is needed beyond the box,
-    so each lam's extensions are the same on every pass: they are listed on
-    first use and reused by the later passes of this call.
+    Multiplying by c(Q) = 1 + sigma_1 + sigma_2 + ... sends sigma_lam to the
+    sum of sigma_nu over the nu in the box with nu/lam a horizontal strip of
+    any size (Pieri). Padded to k rows, that is the interlacing
+    nu_1 >= lam_1 >= nu_2 >= lam_2 >= ... >= nu_k >= lam_k >= 0 (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5), so
+
+        (c(Q) v)_nu = sum_{lam_k = 0}^{nu_k} sum_{lam_{k-1} = nu_k}^{nu_{k-1}}
+                      ... sum_{lam_1 = nu_2}^{nu_1} v_lam.
+
+    Summed from the last row up, each inner sum is a prefix sum along one
+    row of the cone q-k >= x_1 >= ... >= x_k >= 0. After the sweeps of rows
+    k..j+1 the vector is indexed by (lam_1..lam_j, nu_{j+1}..nu_k), a point
+    of the cone since lam_j >= nu_{j+1}; the sweep of row j,
+    v[x] += v[x - e_j] wherever x_j - 1 >= x_{j+1} (x_{k+1} = 0), taken in
+    increasing x_j, turns lam_j into nu_j. So each of the q factors of c(Q)
+    costs k sweeps over the C(q, k) box partitions, in exact arithmetic.
     """
     ctx = grassmannian(k, q)
-    width = q - k
-    D = k * width
-    terms = substitute(sym_power_chern(k, 2, D), ctx).terms()
-    extensions = {}
-    for _ in range(q):
-        new = {}
-        for lam, c in terms.items():
-            nus = extensions.get(lam)
-            if nus is None:
-                nus = extensions[lam] = list(horizontal_extensions(lam, k, width))
-            for nu in nus:
-                new[nu] = new.get(nu, 0) + c
-        terms = {nu: c for nu, c in new.items() if c}
-    return GradedSeries.from_terms(ctx, D, terms)
+    D = k * (q - k)
+    sym2 = substitute(sym_power_chern(k, 2, D), ctx).terms()
+    comps = [{} for _ in range(D + 1)]
+    for lam, c in _times_c_Q_power(sym2, k, q - k, q).items():
+        comps[sum(lam)][lam] = c
+    return GradedSeries(ctx, D, [SchubertExpr._make(ctx, t.items()) for t in comps])
+
+
+def _times_c_Q_power(terms, k: int, width: int, n: int) -> dict:
+    """(sum of c sigma_lam over the (lam, c) in terms) * c(Q)^n in the
+    k x width box, by the row sweeps of chern_F, as a dict of its non-zero
+    coefficients; the lam must be canonical partitions in the box."""
+    # the padded box partitions, by size so that x - e_j comes before x
+    points = sorted(combinations_with_replacement(range(width, -1, -1), k), key=sum)
+    index = {x: i for i, x in enumerate(points)}
+    sweeps = [[(i, index[x[:j] + (x[j] - 1,) + x[j + 1:]])
+               for i, x in enumerate(points) if x[j] > (x[j + 1] if j + 1 < k else 0)]
+              for j in reversed(range(k))]
+    v = [0] * len(points)
+    for lam, c in terms.items():
+        v[index[lam + (0,) * (k - len(lam))]] += c
+    for _ in range(n):
+        for pairs in sweeps:
+            for x, y in pairs:
+                v[x] += v[y]
+    return {x[:k - x.count(0)]: c for x, c in zip(points, v) if c}
 
 
 @dataclass(frozen=True)
@@ -199,24 +223,6 @@ def chern_G_coeffs(k: int, max_degree: int = 2) -> GCoeffs:
         for lam, c in part.terms.items():
             coeffs[lam] = c if isinstance(c, CoefPoly) else CoefPoly.constant(c, ("h", "q"))
     return GCoeffs(k=k, max_degree=max_degree, coeffs=coeffs)
-
-
-def chern_G_concrete(k: int, h0: int, q0: int, max_degree: int = 2) -> GradedSeries:
-    """Same class with numeric exponents, by plain powers and inversion.
-
-    Independent of the symbolic path: used to validate specializations."""
-    st = stable(k)
-    D = max_degree
-    sym2 = substitute(sym_power_chern(k, 2, D), st, D)
-    sym3 = substitute(sym_power_chern(k, 3, D), st, D)
-    s = chern_S(st, D)
-    out = GradedSeries.unit(st, D)
-    for _ in range(q0):
-        out = out * sym2
-    inv_s = invert(s)
-    for _ in range(h0):
-        out = out * inv_s
-    return out * invert(sym3)
 
 
 # Reference closed forms for the three lowest coefficients, as displayed

@@ -56,8 +56,9 @@ class DataError(ValueError):
 
 
 def whole_number(x) -> int:
-    """x as an int, never truncated: 2 and 2.0 give 2, but 1.9 is a DataError."""
-    if type(x) is not int and int(x) != Fraction(x):
+    """x as an int, never truncated: 2 and 2.0 give 2, but 1.9 is a DataError,
+    and so is a bool (JSON true/false), which Python would read as 1/0."""
+    if isinstance(x, bool) or (type(x) is not int and int(x) != Fraction(x)):
         raise DataError(f"{x!r} is not an integer")
     return int(x)
 
@@ -206,12 +207,20 @@ class SubspaceW:
                 f = row[a]
                 if f and u != s:
                     row = [top[a] * x - f * y for x, y in zip(row, top)]
-                    g = gcd(*row)
+                    g = gcd(*row) or 1  # a zero row: too few pivots, refused below
                     rows[u] = [x // g for x in row]
             pivots.append(a)
             if s + 1 == self.k:
                 break
-        return SubspaceW([[Fraction(x, row[a]) for x in row] for row, a in zip(rows, pivots)])
+        if len(pivots) != self.k:
+            raise RuntimeError(f"echelon found {len(pivots)} pivots for {self.k} independent columns")
+        # k pivots make the rows independent, so the constructor's
+        # conversion and rank check are not run again
+        out = SubspaceW.__new__(SubspaceW)
+        out.q, out.k = self.q, self.k
+        out.columns = tuple(tuple(Fraction(x, row[a]) for x in row)
+                            for row, a in zip(rows, pivots))
+        return out
 
     def to_json(self) -> dict:
         return {"columns": [[str(x) for x in col] for col in self.columns]}
@@ -358,6 +367,8 @@ class HodgeDatum:
             action = {}
             for item in obj.get("action", ()):
                 a, i, j = (whole_number(item[key]) for key in "aij")
+                if (a, i, j) in action:
+                    raise DataError(f"duplicate action item (a={a}, i={i}, j={j})")
                 if "matrix" in item:
                     mat = SparseRat.from_dense(item["matrix"])
                 else:

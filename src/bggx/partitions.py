@@ -7,7 +7,7 @@ ring code. All functions validate their input through normalize().
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 
 def normalize(parts) -> tuple[int, ...]:
@@ -119,30 +119,6 @@ def horizontal_strips(lam, m: int, rows: int, width: int | None):
             yield from rec(i + 1, remaining - (v - low), out + [v])
 
     yield from rec(0, m, [])
-
-
-def horizontal_extensions(lam, rows: int, width: int):
-    """Yield every nu in the rows x width box with nu/lam a horizontal strip
-    of any size (0 included), as canonical tuples.
-
-    Row i of nu ranges over lam_i..lam_{i-1} (lam_{-1} read as width) with
-    no dependence on the other rows of nu, so the strips are a product of
-    ranges. Only the first zero row of lam can grow; a zero there is left
-    off, and every row below it stays zero.
-    """
-    lam = normalize(lam)
-    if len(lam) > rows:
-        return
-    tops = (width,) + lam
-    heads = product(*(range(low, top + 1) for low, top in zip(lam, tops)))
-    if len(lam) == rows:
-        yield from heads
-        return
-    new_row = range(1, tops[-1] + 1)
-    for head in heads:
-        yield head
-        for v in new_row:
-            yield head + (v,)
 
 
 def vertical_strips(lam, c: int, rows: int, width: int | None):

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .coefpoly import CoefPoly
 from .partitions import normalize, partitions_with_max_length
 from .schur import GrassmannianContext, SchubertExpr, multiply, pieri_words
 
@@ -232,33 +231,6 @@ def exp_series(s: GradedSeries) -> GradedSeries:
     return total
 
 
-def pow_symbolic(s: GradedSeries, exponent) -> GradedSeries:
-    """s**e for e an integer (repeated multiplication / inversion) or a
-    CoefPoly symbol, realized as exp(e * log s)."""
-    if not s.is_unit():
-        raise ValueError("powers need constant term 1")
-    if isinstance(exponent, int):
-        base = invert(s) if exponent < 0 else s
-        out = GradedSeries.unit(s.ctx, s.D)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
-    if isinstance(exponent, CoefPoly):
-        return exp_series(log_series(s).scale(exponent))
-    raise TypeError(f"unsupported exponent {exponent!r}")
-
-
-def evaluate_coeffs(s: GradedSeries, **assignments) -> GradedSeries:
-    """Substitute rational values for the symbols in CoefPoly coefficients."""
-    comps = []
-    for part in s.components:
-        terms = {}
-        for lam, c in part.terms.items():
-            terms[lam] = c.evaluate(**assignments) if isinstance(c, CoefPoly) else c
-        comps.append(SchubertExpr(s.ctx, terms))
-    return GradedSeries(s.ctx, s.D, comps)
-
-
 # ---------------------------------------- symmetric powers via power sums
 #
 # While a table is built, a polynomial in e_1..e_k is a dict from packed
@@ -405,15 +377,6 @@ def _sym_power_table(k, r, cap):
 def _e_word(exps):
     """The column classes of prod e_i^{a_i}: a_1 ones, then a_2 twos, ..."""
     return tuple(i for i, a in enumerate(exps, start=1) for _ in range(a))
-
-
-def e_monomial_sigma(exps, ctx: GrassmannianContext) -> SchubertExpr:
-    """prod e_i^{a_i} with e_i -> c_i(S) = (-1)^i sigma_{1^i}, as an expression.
-
-    The sign is (-1)^(weighted degree); the product itself is a chain of
-    cached vertical Pieri steps (schur.pieri_words), one per factor."""
-    word = _e_word(exps)
-    return pieri_words((), [(word, (-1) ** sum(word))], ctx, vertical=True)
 
 
 def substitute(table: SymChernTable, ctx: GrassmannianContext, D=None) -> GradedSeries:

@@ -4,7 +4,10 @@ and against concrete specializations computed by plain powers."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
@@ -14,7 +17,6 @@ import pytest
 from bggx.bgg import (
     chern_F,
     chern_G_coeffs,
-    chern_G_concrete,
     g1_closed,
     g2_closed,
     g11_closed,
@@ -26,8 +28,8 @@ from bggx.bgg import (
 from bggx.bounds import c2_bound
 from bggx.coefpoly import CoefPoly, hq_poly
 from bggx.partitions import box_partitions
-from bggx.schur import grassmannian
-from bggx.series import evaluate_coeffs, substitute, sym_power_chern
+from bggx.schur import grassmannian, stable
+from bggx.series import GradedSeries, chern_S, invert, substitute, sym_power_chern
 
 
 # -------------------------------------------------------------- staircase
@@ -79,8 +81,8 @@ def skew_schur_at_ones(nu, lam, k, q):
 
 def test_chern_F_matches_jacobi_trudi_oracle():
     # the coefficient of sigma_nu in sigma_lam * c(Q)^q is s_{nu/lam}(1^q)
-    for k in range(1, 4):
-        for q in range(k + 1, 8):
+    for k in range(1, 5):
+        for q in range(k + 1, 9):
             sym2 = substitute(sym_power_chern(k, 2, k * (q - k)), grassmannian(k, q))
             expect = {}
             for lam, a in sym2.terms().items():
@@ -149,6 +151,28 @@ def test_conjecture_reports_match_recorded_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == _STAIRCASE_SHA256
 
 
+# sha256 of the same listing over the k = 6, 7 cells, recorded before
+# chern_F applied c(Q) as row-by-row prefix sums
+_K67_CELLS = tuple((6, q) for q in range(7, 13)) + tuple((7, q) for q in range(8, 12))
+_K67_SHA256 = "5de3a38541a385f966934d24105a3ef7d2337333ddce62b69aa1bea295e6f9e9"
+
+
+def test_k6_k7_conjecture_reports_match_recorded_digest():
+    blob = json.dumps([verify_conjecture(k, q).to_json() for k, q in _K67_CELLS],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == _K67_SHA256
+
+
+def test_chern_layers_import_without_numpy_or_scipy():
+    # the Schubert and Chern layers run in Python ints; numpy and scipy are
+    # the rank engine's, and importing them would cost every chern command
+    code = ("import sys, bggx.bgg, bggx.schur, bggx.series; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------ g-polynomials
 
 def test_g1_matches_closed_form():
@@ -196,6 +220,22 @@ def test_g2_leading_coefficient_is_half():
     for k in range(1, 7):
         for poly in (g2_closed(k), g11_closed(k)):
             assert poly.terms[(2, 0)] == Fraction(1, 2)
+
+
+def chern_G_concrete(k, h0, q0, max_degree=2):
+    """c(G) with numeric exponents, by plain powers and inversion.
+    Test-local; independent of the exp/log path of chern_G_coeffs."""
+    st = stable(k)
+    D = max_degree
+    sym2 = substitute(sym_power_chern(k, 2, D), st, D)
+    sym3 = substitute(sym_power_chern(k, 3, D), st, D)
+    out = GradedSeries.unit(st, D)
+    for _ in range(q0):
+        out = out * sym2
+    inv_s = invert(chern_S(st, D))
+    for _ in range(h0):
+        out = out * inv_s
+    return out * invert(sym3)
 
 
 def test_specialization_matches_concrete_powers():

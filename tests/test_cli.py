@@ -350,6 +350,10 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         (_COMPLEX + ("1",), '{"d": 1, "q": 1, "dims": [[1, 1.9], [1, 1]]}', None, 3),
         (_COMPLEX + ("1",), b"\xff\xfe", None, 3),
         (_BOUNDS, b"\xff\xfe", None, 3),
+        (_COMPLEX + ("1",), _datum("1").replace('"a": 1', '"a": true'), None, 3),
+        (_COMPLEX + ("1",), '{"d": 1, "q": true, "dims": [[1, 0], [1, 0]]}', None, 3),
+        (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, true], [1, 0]]}', None, 3),
+        (_BOUNDS, '{"q": 1, "d": true, "h": [[1, 0], [1, 0]]}', None, 3),
         (
             ("complex", "check", "--input", "FILE", "--r", "100", "--j", "1", "--w", "1,0;0,1"),
             '{"d": 1, "q": 2, "dims": [[1, 100000000], [2, 100000000]], '
@@ -362,6 +366,7 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         "datum-entry-1/0", "datum-entry-1e400", "datum-entry-too-large-for-int64",
         "dense-rank-size-refusal", "w-entry-1/0", "hodge-1e400", "hodge-table-short-for-d",
         "hodge-non-integer", "datum-dims-non-integer", "datum-not-utf8", "hodge-not-utf8",
+        "datum-action-index-true", "datum-q-true", "hodge-number-true", "hodge-d-true",
         "differential-too-large-to-assemble",
     ],
 )
@@ -376,3 +381,15 @@ def test_bad_numbers_short_tables_and_size_refusals_exit_codes(
     assert got == code
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_duplicate_action_item_exits_3_naming_it(tmp_path, capsys):
+    # two items for the same (a, i, j) are ambiguous: neither may win silently
+    item = '{"a": 1, "i": 0, "j": 0, "matrix": [[1]]}'
+    path = tmp_path / "dup.json"
+    path.write_text('{"d": 1, "q": 1, "dims": [[1, 0], [1, 0]], '
+                    '"action": [' + item + ", " + item.replace("[[1]]", "[[2]]") + "]}")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in _COMPLEX), "1")
+    assert code == 3
+    assert out == ""
+    assert "duplicate action item (a=1, i=0, j=0)" in err and "Traceback" not in err

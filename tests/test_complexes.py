@@ -297,6 +297,9 @@ def test_echelon_basis_spans_w_and_depends_on_the_span_only():
             E = W.echelon()
             assert (E.q, E.k) == (q, k)
             assert rank_exact([*W.columns, *E.columns]) == k
+            # built without the constructor, but as the constructor builds it
+            assert all(type(x) is Fraction for col in E.columns for x in col)
+            assert SubspaceW(E.columns).columns == E.columns
             # reduced: column s is 1 at its pivot, 0 before it and at the
             # other pivots, and the pivots increase
             pivots = [next(a for a, x in enumerate(col) if x) for col in E.columns]
@@ -309,6 +312,16 @@ def test_echelon_basis_spans_w_and_depends_on_the_span_only():
     assert SubspaceW([["1/2", 0, 1], [1, 1, 0]]).echelon().columns == (
         (1, 0, 2), (0, 1, -2)
     )
+
+
+def test_echelon_refuses_a_basis_that_is_not_independent():
+    # the constructor never lets dependent columns through; forge a W past
+    # it to check that echelon counts its pivots instead of trusting them
+    W = SubspaceW.__new__(SubspaceW)
+    W.q, W.k = 3, 2
+    W.columns = ((Fraction(1), Fraction(2), Fraction(0)), (Fraction(2), Fraction(4), Fraction(0)))
+    with pytest.raises(RuntimeError, match="1 pivots for 2"):
+        W.echelon()
 
 
 def test_abelian_column_j_is_binomial_copies_of_column_0():

@@ -6,7 +6,8 @@ import hashlib
 import json
 import random
 
-from bggx.partitions import box_partitions, conjugate, horizontal_extensions, normalize
+from bggx.bgg import _times_c_Q_power
+from bggx.partitions import box_partitions, conjugate, normalize
 from bggx.schur import (
     SchubertExpr,
     class_product,
@@ -64,15 +65,21 @@ def test_pieri_matches_strip_oracle():
                 assert all(c == 1 for c in pieri(lam, m, ctx).terms.values())
 
 
-def test_horizontal_extensions_are_every_strip_size_at_once():
-    for rows, width in [(1, 4), (2, 3), (3, 3), (4, 2)]:
-        for lam in box_partitions(rows, width):
-            got = list(horizontal_extensions(lam, rows, width))
-            assert all(nu == normalize(nu) for nu in got), lam
-            assert len(set(got)) == len(got), lam
-            expect = [nu for m in range(rows * width + 1)
-                      for nu in strip_oracle(lam, m, rows, width)]
-            assert sorted(got) == sorted(expect), (rows, width, lam)
+def test_c_Q_row_sweeps_are_every_strip_size_at_once():
+    # one factor of c(Q) = 1 + sigma_1 + sigma_2 + ..., applied by chern_F's
+    # row-by-row prefix sums, is the sum of every Pieri step sigma_lam * sigma_m
+    for k in range(1, 5):
+        for q in range(k + 1, 10):
+            ctx, width = grassmannian(k, q), q - k
+            for lam in box_partitions(k, width):
+                got = _times_c_Q_power({lam: 1}, k, width, 1)
+                expect = {}
+                for m in range(width + 1):
+                    for nu, c in pieri(lam, m, ctx).terms.items():
+                        expect[nu] = expect.get(nu, 0) + c
+                assert got == expect, (k, q, lam)
+                oracle = [nu for m in range(width + 1) for nu in strip_oracle(lam, m, k, width)]
+                assert sorted(got) == sorted(oracle) and set(got.values()) == {1}, (k, q, lam)
 
 
 def test_pieri_frozen_values():

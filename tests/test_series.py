@@ -14,7 +14,7 @@ from math import comb, prod
 import pytest
 
 from bggx.cli import main
-from bggx.coefpoly import hq_poly
+from bggx.coefpoly import CoefPoly, hq_poly
 from bggx.partitions import box_partitions
 from bggx.schur import SchubertExpr, grassmannian, pieri_dual, stable
 from bggx.series import (
@@ -23,12 +23,9 @@ from bggx.series import (
     _sym_power_table,
     chern_Q,
     chern_S,
-    e_monomial_sigma,
-    evaluate_coeffs,
     exp_series,
     invert,
     log_series,
-    pow_symbolic,
     substitute,
     sym_power_chern,
 )
@@ -174,6 +171,26 @@ def test_preconditions_raise():
 
 
 # ------------------------------------------------------- symbolic powers
+
+def pow_symbolic(s, exponent):
+    """s**e for e an integer (repeated multiplication / inversion) or a
+    CoefPoly symbol, realized as exp(e * log s). Test-local oracle."""
+    if isinstance(exponent, int):
+        base = invert(s) if exponent < 0 else s
+        out = GradedSeries.unit(s.ctx, s.D)
+        for _ in range(abs(exponent)):
+            out = out * base
+        return out
+    return exp_series(log_series(s).scale(exponent))
+
+
+def evaluate_coeffs(s, **assignments):
+    """Substitute rational values for the symbols in CoefPoly coefficients."""
+    return GradedSeries(s.ctx, s.D, [
+        SchubertExpr(s.ctx, {lam: c.evaluate(**assignments) if isinstance(c, CoefPoly) else c
+                             for lam, c in part.terms.items()})
+        for part in s.components])
+
 
 def test_pow_symbolic_integer_matches_repeated_multiplication():
     rng = random.Random(5)
@@ -419,6 +436,20 @@ def test_substitute_sym2_degree_one():
     assert s.coefficient((1,)) == -3
 
 
+def e_monomial_sigma(exps, ctx):
+    """prod e_i^{a_i} with e_i -> c_i(S) = (-1)^i sigma_{1^i}, one pieri_dual
+    per factor from the unit. Test-local; substitute() is checked against it
+    below, so these values pin its sign convention."""
+    expr = SchubertExpr.unit(ctx)
+    for i, a in enumerate(exps, start=1):
+        for _ in range(a):
+            acc = SchubertExpr.zero(ctx)
+            for lam, coeff in expr.terms.items():
+                acc = acc + pieri_dual(lam, i, ctx).scale((-1) ** i * coeff)
+            expr = acc
+    return expr
+
+
 def test_e_monomial_sign_convention():
     ctx = grassmannian(2, 5)
     assert e_monomial_sigma((1, 0), ctx) == SchubertExpr.single(ctx, (1,), -1)
@@ -435,14 +466,7 @@ def unit_started_expansion(table, ctx, D):
     for d in range(D + 1):
         part = SchubertExpr.zero(ctx)
         for exps, c in (table.entries[d].items() if d < len(table.entries) else ()):
-            expr = SchubertExpr.unit(ctx)
-            for i, a in enumerate(exps, start=1):
-                for _ in range(a):
-                    acc = SchubertExpr.zero(ctx)
-                    for lam, coeff in expr.terms.items():
-                        acc = acc + pieri_dual(lam, i, ctx).scale(coeff)
-                    expr = acc
-            part = part + expr.scale((-1) ** d * c)
+            part = part + e_monomial_sigma(exps, ctx).scale(c)
         comps.append(part)
     return GradedSeries(ctx, D, comps)
 
