@@ -71,11 +71,6 @@ class CoefPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     # ---------------------------------------------------------- arithmetic
 
     def _coerce(self, other):

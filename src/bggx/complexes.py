@@ -18,15 +18,16 @@ homology computations run on integers and remain exact.
 
 Every rank is certified per independent block of its map (the connected
 components of the row/column graph).  The lower bound is a rank mod p,
-found in this order and only as far as needed: the structural pivots
-(rows with distinct leading columns, already in echelon form), then,
-for blocks far larger than the rank sought, the Schur complement of
-those pivots, and then a dense modular elimination of the block or of
-that complement.  The upper bound is min(shape) or d_i - r_prev where
-the lower bound meets one of them; elsewhere it comes from a kernel
-computed mod p, lifted to Q by CRT and rational reconstruction, and
-checked exactly.  Bareiss elimination is the last resort when no lift
-checks out, and the whole-map oracle behind method="exact".
+found in this order and only as far as needed: the structural pivots of
+the rows (distinct leading columns, already in echelon form), those of
+the columns (distinct leading rows, in column-echelon form), and then a
+dense modular elimination of the block or, for blocks far larger than
+the rank sought, of the Schur complement of the larger set of pivots.
+The upper bound is min(shape) or d_i - r_prev where the lower bound
+meets one of them; elsewhere it comes from a kernel computed mod p,
+lifted to Q by CRT and rational reconstruction, and checked exactly.
+Bareiss elimination is the last resort when no lift checks out, and
+the whole-map oracle behind method="exact".
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def whole_number(x) -> int:
     return int(x)
 
 
+def _exact_entry(x) -> Fraction:
+    """x as a Fraction; a bool (JSON true/false) is a DataError, not 1/0."""
+    if isinstance(x, bool):
+        raise DataError(f"{x!r} is not a matrix entry")
+    return Fraction(x)
+
+
 class SparseRat:
     """Sparse exact-rational matrix: a shape plus the nonzero entries."""
 
@@ -75,7 +83,7 @@ class SparseRat:
         self.shape = (m, n)
         clean = {}
         for (r, c), v in (entries or {}).items():
-            v = Fraction(v)
+            v = _exact_entry(v)
             if not (0 <= r < m and 0 <= c < n):
                 raise ValueError(f"entry ({r},{c}) outside shape {self.shape}")
             if v:
@@ -91,7 +99,7 @@ class SparseRat:
             if len(row) != n:
                 raise ValueError("ragged matrix")
             for j, v in enumerate(row):
-                v = Fraction(v)
+                v = _exact_entry(v)
                 if v:
                     ent[(i, j)] = v
         return cls((m, n), ent)
@@ -372,7 +380,7 @@ class HodgeDatum:
                 if "matrix" in item:
                     mat = SparseRat.from_dense(item["matrix"])
                 else:
-                    ent = {(r, c): Fraction(v) for r, c, v in item["entries"]}
+                    ent = {(r, c): v for r, c, v in item["entries"]}
                     mat = SparseRat((dims[i + 1][j], dims[i][j]), ent)
                 action[(a, i, j)] = mat
             return cls(obj["d"], obj["q"], dims, action, obj.get("metadata"))
@@ -590,15 +598,6 @@ class ComplexOfMatrices:
                 for a, b in zip(self.maps, other.maps)
             )
         )
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.term_dims)
-
-    def map_dense(self, i: int) -> list[list[Fraction]]:
-        """Exact rational entries of the i-th differential of one summand."""
-        s = self.map_scales[i]
-        return [[x * s for x in row] for row in self.maps[i].toarray().tolist()]
 
 
 def _compose_is_zero(later: sp.csr_matrix, earlier: sp.csr_matrix) -> bool:
@@ -867,11 +866,11 @@ def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
     """Lower bound for rank(mat) over F_p, hence over Q, capped at needed.
 
     The sum over the independent blocks of :func:`_block_rank_lb`, with
-    needed capped at each block's smaller side.  Each block tries its
-    structural pivots, then the Schur complement of those pivots, then a
-    dense modular rank, each only when the one before falls short; where
-    the sum still falls short, the walk ranks mat by the lifted kernels
-    of :func:`_rank_exact_csr`.  Whenever no block is projected the
+    needed capped at each block's smaller side.  Each block tries the
+    structural pivots of its rows, then those of its columns, then a
+    dense modular rank of itself or of a Schur complement, each only
+    when the one before falls short; where the sum still falls short,
+    the walk ranks mat by the lifted kernels of :func:`_rank_exact_csr`.  Whenever no block is projected the
     result is min(needed, rank_p(mat)).
     """
     if not mat.has_canonical_format:
@@ -887,46 +886,95 @@ def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
     """Lower bound for the rank of one block over F_p, aimed at needed.
 
     block holds canonical CSR arrays (shape, indptr, indices, data).  The
-    steps run in this order, each only when the one before falls short
-    of needed:
+    steps run in this order, each only when the ones before fall short
+    of needed, and steps 3 and 4 exclude each other:
 
-    1. The k structural pivots of :func:`_structural_pivots`, which need
-       no arithmetic.
-    2. For a block far larger than needed (max side > needed + 32), the
-       Schur complement S of the pivots: rank_p(block) = k + rank_p(S),
-       and :func:`_schur_rank_lb` bounds rank_p(S).
-    3. Otherwise the block is ranked dense by :func:`rank_mod`.
+    1. The structural pivots of the rows, :func:`_structural_pivots`.
+    2. The structural pivots of the columns, :func:`_column_pivots`.
+       Both counts need no arithmetic, read one mask of the entries
+       nonzero mod p, and are lower bounds for rank_p.
+    3. For a block no longer than needed + 32 on either side, a dense
+       :func:`rank_mod` of the block.
+    4. Otherwise the Schur complement S of the pivots of the side with
+       more of them: rank_p(block) = k + rank_p(S), and
+       :func:`_schur_rank_lb` bounds rank_p(S).  For the column side it
+       runs on the transposed block (:func:`_transposed`), of the same
+       rank.
     """
     shape = block[0]
-    piv_rows, piv_cols = _structural_pivots(block, p)
-    k = len(piv_rows)
+    live = block[3] % p != 0
+    pivots = _structural_pivots(block, live)
+    k = len(pivots[0])
     if k >= needed:
         return k
+    column_pivots = _column_pivots(block, live)
+    if len(column_pivots[0]) >= needed:
+        return len(column_pivots[0])
     if needed + 32 >= max(shape):
         return rank_mod(_dense(*block), p)
-    return k + _schur_rank_lb(block, p, needed - k, piv_rows, piv_cols)
+    if len(column_pivots[0]) > k:
+        block, pivots, k = _transposed(block), column_pivots, len(column_pivots[0])
+    return k + _schur_rank_lb(block, p, needed - k, *pivots)
 
 
-def _structural_pivots(block: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _transposed(block: tuple) -> tuple:
+    """The canonical CSR arrays of the transpose of a canonical CSR block.
+
+    A stable sort of the entries by column keeps the rows increasing
+    inside each row of the transpose.
+    """
+    (m, n), indptr, indices, data = block
+    order = np.argsort(indices, kind="stable")
+    flipped_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=flipped_indptr[1:])
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    return (n, m), flipped_indptr, rows[order], data[order]
+
+
+def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot rows of a canonical CSR block mod p, and their leading columns.
 
-    A row's leading column is its first one with an entry nonzero mod p.
-    Returns (piv_rows, piv_cols): for each distinct leading column
-    piv_cols[i], in increasing order, one row piv_rows[i] leading there.
-    Ordered by their leading columns these rows are in echelon form, so
-    they are independent mod p and their number is a lower bound for
-    rank_p (Faugere and Lachartre's structural pivots).
+    live marks the entries nonzero mod p.  A row's leading column is its
+    first one with a live entry.  Returns (piv_rows, piv_cols): for each
+    distinct leading column piv_cols[i], in increasing order, one row
+    piv_rows[i] leading there.  Ordered by their leading columns these
+    rows are in echelon form, so they are independent mod p and their
+    number is a lower bound for rank_p (Faugere and Lachartre's
+    structural pivots).  :func:`_column_pivots` is the same count taken
+    over the columns.
     """
-    shape, indptr, indices, data = block
-    # positions of the entries nonzero mod p, then the first one at or
-    # after each row start: the row's leading entry when still in the row
-    live = np.append(np.flatnonzero(data % p), len(data))
-    first = live[np.searchsorted(live, indptr[:-1])]
+    shape, indptr, indices, _ = block
+    # positions of the live entries, then the first one at or after
+    # each row start: the row's leading entry when still in the row
+    at = np.append(np.flatnonzero(live), len(live))
+    first = at[np.searchsorted(at, indptr[:-1])]
     lead_rows = np.flatnonzero(first < indptr[1:])
     row_at = np.full(shape[1], -1)
     row_at[indices[first[lead_rows]]] = lead_rows
     piv_cols = np.flatnonzero(row_at >= 0)
     return row_at[piv_cols], piv_cols
+
+
+def _column_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns of a CSR block mod p, and their leading rows.
+
+    live marks the entries nonzero mod p.  A column's leading row is its
+    first one with a live entry.  Returns (piv_cols, piv_rows): for each
+    distinct leading row piv_rows[i], in increasing order, one column
+    piv_cols[i] leading there.  Ordered by their leading rows these
+    columns are in column-echelon form, so they are independent mod p
+    and their number is a lower bound for rank_p.  They are the
+    structural pivots of the transposed block, in the form
+    :func:`_schur_rank_lb` takes for it.
+    """
+    (m, n), indptr, indices, _ = block
+    rows = np.repeat(np.arange(m), np.diff(indptr))[live]
+    lead = np.full(n, m)  # m: the column has no live entry
+    np.minimum.at(lead, indices[live], rows)
+    col_at = np.full(m + 1, -1)
+    col_at[lead] = np.arange(n)
+    piv_rows = np.flatnonzero(col_at[:m] >= 0)
+    return col_at[piv_rows], piv_rows
 
 
 def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int:

@@ -226,7 +226,7 @@ def test_criterion_7_complex_well_formedness(capsys):
     for j in range(3):
         built.append((f"curves r=2 j={j}", complexes.build_complex(curves, W0, 2, j)))
     for name, c in built:
-        for i in range(c.n_terms - 2):
+        for i in range(len(c.term_dims) - 2):
             product = c.maps[i + 1] @ c.maps[i]
             product.eliminate_zeros()
             if product.nnz:

@@ -354,6 +354,13 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         (_COMPLEX + ("1",), '{"d": 1, "q": true, "dims": [[1, 0], [1, 0]]}', None, 3),
         (_BOUNDS, '{"q": 1, "d": 1, "h": [[1, true], [1, 0]]}', None, 3),
         (_BOUNDS, '{"q": 1, "d": true, "h": [[1, 0], [1, 0]]}', None, 3),
+        (_COMPLEX + ("1",), _datum("true"), None, 3),
+        (
+            _COMPLEX + ("1",),
+            _datum("1").replace('"matrix": [[1]]', '"entries": [[0, 0, false]]'),
+            None,
+            3,
+        ),
         (
             ("complex", "check", "--input", "FILE", "--r", "100", "--j", "1", "--w", "1,0;0,1"),
             '{"d": 1, "q": 2, "dims": [[1, 100000000], [2, 100000000]], '
@@ -367,6 +374,7 @@ _BOUNDS = ("bounds", "check", "--hodge", "FILE", "--k", "1", "--r", "1")
         "dense-rank-size-refusal", "w-entry-1/0", "hodge-1e400", "hodge-table-short-for-d",
         "hodge-non-integer", "datum-dims-non-integer", "datum-not-utf8", "hodge-not-utf8",
         "datum-action-index-true", "datum-q-true", "hodge-number-true", "hodge-d-true",
+        "datum-matrix-entry-true", "datum-entries-entry-false",
         "differential-too-large-to-assemble",
     ],
 )

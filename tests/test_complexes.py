@@ -1,7 +1,9 @@
 """Derivative complexes: construction, homology, invariance, faults."""
 
 import dataclasses
+import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -88,10 +90,15 @@ def test_hodge_datum_validation():
 
 
 @st.composite
-def _curves(draw):
-    """curve_datum(g, P) for g in 1..3 and a random invertible integer P."""
+def _curves(draw, rational=False):
+    """curve_datum(g, P) for g in 1..3 and a random invertible P.
+
+    P has integer entries in [-3, 3], or with rational=True fractions
+    there with denominators up to 3.
+    """
     g = draw(st.integers(1, 3))
-    row = st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+    entry = st.fractions(-3, 3, max_denominator=3) if rational else st.integers(-3, 3)
+    row = st.lists(entry, min_size=g, max_size=g)
     pairing = draw(st.lists(row, min_size=g, max_size=g))
     assume(rank_exact(pairing) == g)
     return curve_datum(g, pairing)
@@ -131,17 +138,71 @@ def test_hodge_datum_json_round_trip_dense_and_sparse():
         HodgeDatum.from_json({"d": 2, "q": 2, "dims": "nope"})
 
 
+def _json_round_trip(datum):
+    return HodgeDatum.from_json(json.loads(json.dumps(datum.to_json())))
+
+
+def _assert_same_datum(got, want):
+    assert (got.d, got.q, got.dims) == (want.d, want.q, want.dims)
+    assert got.action.keys() == want.action.keys()
+    for key, mat in want.action.items():
+        assert got.action[key] == mat, key
+
+
+def _encodings(datum):
+    """The encodings datum.to_json() uses for its action items.
+
+    Each item is checked against its size: "matrix" up to 1600 cells,
+    "entries" past that.
+    """
+    out = set()
+    for item in datum.to_json()["action"]:
+        m, n = datum.action[(item["a"], item["i"], item["j"])].shape
+        assert ("matrix" in item) == (m * n <= 1600) != ("entries" in item)
+        out.add("matrix" if "matrix" in item else "entries")
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(factors=st.lists(_curves(rational=True), min_size=2, max_size=3))
+def test_curve_products_survive_a_json_round_trip(factors):
+    product = functools.reduce(HodgeDatum.tensor, factors)
+    _encodings(product)
+    _assert_same_datum(_json_round_trip(product), product)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_abelian_models_survive_a_json_round_trip(q):
+    datum = abelian_model(q)
+    assert _encodings(datum) == {"matrix"}
+    _assert_same_datum(_json_round_trip(datum), datum)
+
+
+def test_json_round_trip_of_both_encodings():
+    # C_3 x C_3 x C_3 has action matrices on both sides of 1600 cells
+    curve = curve_datum(3, [[1, "1/2", 0], [0, 2, -1], [3, 0, "-5/3"]])
+    product = curve.tensor(curve).tensor(curve)
+    assert _encodings(product) == {"matrix", "entries"}
+    _assert_same_datum(_json_round_trip(product), product)
+
+
+def _map_dense(c, i):
+    """Exact rational entries of the i-th differential of one summand of c."""
+    s = c.map_scales[i]
+    return [[x * s for x in row] for row in c.maps[i].toarray().tolist()]
+
+
 def test_build_complex_abelian_small():
     dat = abelian_model(2)
     W = SubspaceW([[1, 1]])
     c = build_complex(dat, W, 2, 0)
     assert c.term_dims == (1, 2, 1)
-    assert c.n_terms == 3
+    assert len(c.term_dims) == 3
     assert homology_dims(c) == (0, 0, 0)
     # r=1 is the plain evaluation W (x) H^j(O) -> H^j(Omega^1)
     c1 = build_complex(dat, SubspaceW([["1/2", "1/3"]]), 1, 0)
     assert c1.term_dims == (1, 2)
-    assert c1.map_dense(0) == [[Fraction(1, 2)], [Fraction(1, 3)]]
+    assert _map_dense(c1, 0) == [[Fraction(1, 2)], [Fraction(1, 3)]]
     with pytest.raises(ValueError):
         build_complex(dat, SubspaceW([[1, 0, 0]]), 2, 0)  # wrong q
     with pytest.raises(ValueError):
@@ -164,8 +225,8 @@ def test_rational_action_scales_each_map():
     for j in (0, 2):
         plain, c = build_complex(dat, W, 3, j), build_complex(scaled, W, 3, j)
         for i in range(3):
-            want = [[x * factor[i] for x in row] for row in plain.map_dense(i)]
-            assert c.map_dense(i) == want
+            want = [[x * factor[i] for x in row] for row in _map_dense(plain, i)]
+            assert _map_dense(c, i) == want
 
 
 def test_complex_equality_compares_maps_by_value():
@@ -545,7 +606,7 @@ def _staircase(rng, rows, cols, p, density):
     return a[rng.permutation(rows)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     p=st.sampled_from((3, 7, 524287)),
@@ -554,13 +615,16 @@ def _staircase(rng, rows, cols, p, density):
     tall=st.booleans(),
     density=st.sampled_from((0.05, 0.15, 0.4)),
     needed=st.integers(0, 14),
+    by_columns=st.booleans(),
 )
 def test_pivot_and_schur_bound_never_exceeds_exact_rank(
-    seed, p, long_side, short_side, tall, density, needed
+    seed, p, long_side, short_side, tall, density, needed, by_columns
 ):
+    # rows in shuffled, loose echelon form, or by_columns the transpose
+    # of such rows: columns in shuffled, loose column-echelon form
     rng = np.random.default_rng(seed)
     m, n = (long_side, short_side) if tall else (short_side, long_side)
-    dense = _staircase(rng, m, n, p, density)
+    dense = _staircase(rng, n, m, p, density).T if by_columns else _staircase(rng, m, n, p, density)
     mat = sp.csr_matrix(dense)
     needed = min(needed, m, n)
     rank_p = rank_mod(dense, p)
@@ -568,59 +632,84 @@ def test_pivot_and_schur_bound_never_exceeds_exact_rank(
     assert lb <= min(needed, rank_exact(dense))
     if max(m, n) <= 32:  # no block is long enough to be projected
         assert lb == min(needed, rank_p)
-    # the Schur complement of the whole matrix's pivots, ranked without a
-    # projection whenever no side of S is 32 longer than the other
+    # the Schur complement of the whole matrix's row pivots, and of its
+    # column pivots on the transposed matrix, ranked without a projection
+    # whenever no side of S is 32 longer than the other
     block = (mat.shape, mat.indptr, mat.indices, mat.data)
-    piv_rows, piv_cols = complexes._structural_pivots(block, p)
-    k = len(piv_rows)
-    if max(m, n) <= min(m, n) + 32:
-        s_rank = complexes._schur_rank_lb(block, p, min(m, n) - k, piv_rows, piv_cols)
-        assert k + s_rank == rank_p
+    live = mat.data % p != 0
+    flipped = complexes._transposed(block)
+    assert np.array_equal(sp.csr_matrix(flipped[3:0:-1], shape=flipped[0]).toarray(), dense.T)
+    for side, (piv_rows, piv_cols) in (
+        (block, complexes._structural_pivots(block, live)),
+        (flipped, complexes._column_pivots(block, live)),
+    ):
+        k = len(piv_rows)
+        assert k <= rank_p
+        if max(m, n) <= min(m, n) + 32:
+            s_rank = complexes._schur_rank_lb(side, p, min(m, n) - k, piv_rows, piv_cols)
+            assert k + s_rank == rank_p
 
 
 def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
     calls = []
-    real_rank_mod = complexes.rank_mod
 
-    def counting_rank_mod(a, p):
-        calls.append(np.shape(a))
-        return real_rank_mod(a, p)
+    def recording(name):
+        real = getattr(complexes, name)
 
-    monkeypatch.setattr(complexes, "rank_mod", counting_rank_mod)
+        def wrapper(*args):
+            calls.append((name, np.shape(args[0]) if name == "rank_mod" else args[0][0]))
+            return real(*args)
+
+        monkeypatch.setattr(complexes, name, wrapper)
+
+    recording("rank_mod")
+    recording("_schur_rank_lb")
     p = MOD_PRIMES[0]
     rng = np.random.default_rng(11)
     # 40 rows leading at distinct columns and 50 combinations of them,
     # shuffled: pinned at 40 far past the projection size (90 rows), and
-    # a shuffled triangular 5 x 5 block pinned at 5
+    # a shuffled triangular 5 x 5 block pinned at 5.  Their transposes
+    # fall short on the rows and are pinned by their column pivots.
     echelon = np.triu(rng.integers(-3, 4, size=(40, 40)), 1) + np.diag(rng.choice([-1, 1, 2], size=40))
     combos = rng.integers(-2, 3, size=(50, 40)) @ echelon
     tall = np.vstack([echelon, combos])[rng.permutation(90)]
     small = np.triu(rng.integers(1, 4, size=(5, 5)))[rng.permutation(5)]
-    for block, rank in ((tall, 40), (small, 5)):
+    for block, rank, by_rows in ((tall, 40, True), (small, 5, True), (tall.T, 40, False), (small.T, 5, False)):
         mat = sp.csr_matrix(block)
+        arrays = (mat.shape, mat.indptr, mat.indices, mat.data)
+        row_pivots = complexes._structural_pivots(arrays, mat.data % p != 0)[0]
+        assert (len(row_pivots) == rank) == by_rows
         assert rank_exact(block) == rank
         assert complexes._cert_rank_lb(mat, p, rank) == rank
         assert not calls
-    # a leading entry divisible by p hides its pivot: ranked mod p again
+    # a leading entry divisible by p hides its pivot on both sides:
+    # ranked mod p again
     small[np.flatnonzero(small[:, 0])[0], 0] = p
     assert complexes._cert_rank_lb(sp.csr_matrix(small), p, 5) == rank_mod(small, p)
-    assert calls == [(5, 5)]
+    assert calls == [("rank_mod", (5, 5))]
 
 
 def test_schur_complement_is_refused_past_the_dense_limit(monkeypatch):
-    # every row of a positive 80 x 10 block of rank 10 leads at column 0:
-    # one structural pivot, so the bound comes from S, whose side-by-side
-    # B and D take 80 x 9 entries
+    # every row of a positive 80 x 10 block of rank 10 leads at column 0,
+    # and every column at row 0: one pivot on each side, so the bound
+    # comes from the S of the rows, whose side-by-side B and D take
+    # 80 x 9 entries.  In its 10 x 80 transpose with row 0 cut to one
+    # entry, column 0 leads at row 0 and the others at row 1: the two
+    # column pivots beat the one row pivot, and the S of the transposed
+    # block takes 80 x 8 entries
     rng = np.random.default_rng(3)
     block = rng.integers(1, 4, size=(80, 10))
-    assert rank_exact(block) == 10
-    mat = sp.csr_matrix(block)
+    flipped = block.T.copy()
+    flipped[0, 1:] = 0
     p = MOD_PRIMES[0]
-    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9)
-    assert complexes._cert_rank_lb(mat, p, 10) == 10
-    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9 - 1)
-    with pytest.raises(DataError, match="too large for a dense rank"):
-        complexes._cert_rank_lb(mat, p, 10)
+    for dense, room in ((block, 80 * 9), (flipped, 80 * 8)):
+        assert rank_exact(dense) == 10
+        mat = sp.csr_matrix(dense)
+        monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", room)
+        assert complexes._cert_rank_lb(mat, p, 10) == 10
+        monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", room - 1)
+        with pytest.raises(DataError, match="too large for a dense rank"):
+            complexes._cert_rank_lb(mat, p, 10)
 
 
 @settings(max_examples=80, deadline=None)
