@@ -22,7 +22,7 @@ found in this order and only as far as needed: the structural pivots of
 the rows (distinct leading columns, already in echelon form), those of
 the columns (distinct leading rows, in column-echelon form), and then a
 dense modular elimination of the block or, for blocks far larger than
-the rank sought, of the Schur complement of the larger set of pivots.
+the rank sought, of the Schur complement of the row pivots.
 The upper bound is min(shape) or d_i - r_prev where the lower bound
 meets one of them; elsewhere it comes from a kernel computed mod p,
 lifted to Q by CRT and rational reconstruction, and checked exactly.
@@ -870,8 +870,9 @@ def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
     structural pivots of its rows, then those of its columns, then a
     dense modular rank of itself or of a Schur complement, each only
     when the one before falls short; where the sum still falls short,
-    the walk ranks mat by the lifted kernels of :func:`_rank_exact_csr`.  Whenever no block is projected the
-    result is min(needed, rank_p(mat)).
+    the walk ranks mat by the lifted kernels of
+    :func:`_rank_exact_csr`.  Whenever no block is projected the result
+    is min(needed, rank_p(mat)).
     """
     if not mat.has_canonical_format:
         # a row's first stored entry is taken as its leading one, which
@@ -890,45 +891,28 @@ def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
     of needed, and steps 3 and 4 exclude each other:
 
     1. The structural pivots of the rows, :func:`_structural_pivots`.
-    2. The structural pivots of the columns, :func:`_column_pivots`.
-       Both counts need no arithmetic, read one mask of the entries
-       nonzero mod p, and are lower bounds for rank_p.
+    2. The structural pivots of the columns,
+       :func:`_column_pivot_count`.  Both counts need no arithmetic,
+       read one mask of the entries nonzero mod p, and are lower bounds
+       for rank_p.
     3. For a block no longer than needed + 32 on either side, a dense
        :func:`rank_mod` of the block.
-    4. Otherwise the Schur complement S of the pivots of the side with
-       more of them: rank_p(block) = k + rank_p(S), and
-       :func:`_schur_rank_lb` bounds rank_p(S).  For the column side it
-       runs on the transposed block (:func:`_transposed`), of the same
-       rank.
+    4. Otherwise the Schur complement S of the k row pivots:
+       rank_p(block) = k + rank_p(S), and :func:`_schur_rank_lb` bounds
+       rank_p(S).
     """
     shape = block[0]
     live = block[3] % p != 0
-    pivots = _structural_pivots(block, live)
-    k = len(pivots[0])
+    piv_rows, piv_cols = _structural_pivots(block, live)
+    k = len(piv_rows)
     if k >= needed:
         return k
-    column_pivots = _column_pivots(block, live)
-    if len(column_pivots[0]) >= needed:
-        return len(column_pivots[0])
+    column_k = _column_pivot_count(block, live)
+    if column_k >= needed:
+        return column_k
     if needed + 32 >= max(shape):
         return rank_mod(_dense(*block), p)
-    if len(column_pivots[0]) > k:
-        block, pivots, k = _transposed(block), column_pivots, len(column_pivots[0])
-    return k + _schur_rank_lb(block, p, needed - k, *pivots)
-
-
-def _transposed(block: tuple) -> tuple:
-    """The canonical CSR arrays of the transpose of a canonical CSR block.
-
-    A stable sort of the entries by column keeps the rows increasing
-    inside each row of the transpose.
-    """
-    (m, n), indptr, indices, data = block
-    order = np.argsort(indices, kind="stable")
-    flipped_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=n), out=flipped_indptr[1:])
-    rows = np.repeat(np.arange(m), np.diff(indptr))
-    return (n, m), flipped_indptr, rows[order], data[order]
+    return k + _schur_rank_lb(block, p, needed - k, piv_rows, piv_cols)
 
 
 def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -940,8 +924,8 @@ def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.n
     piv_rows[i] leading there.  Ordered by their leading columns these
     rows are in echelon form, so they are independent mod p and their
     number is a lower bound for rank_p (Faugere and Lachartre's
-    structural pivots).  :func:`_column_pivots` is the same count taken
-    over the columns.
+    structural pivots).  :func:`_column_pivot_count` is the same count
+    taken over the columns.
     """
     shape, indptr, indices, _ = block
     # positions of the live entries, then the first one at or after
@@ -955,26 +939,20 @@ def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.n
     return row_at[piv_cols], piv_cols
 
 
-def _column_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot columns of a CSR block mod p, and their leading rows.
+def _column_pivot_count(block: tuple, live: np.ndarray) -> int:
+    """Number of distinct leading rows among the columns of a CSR block.
 
-    live marks the entries nonzero mod p.  A column's leading row is its
-    first one with a live entry.  Returns (piv_cols, piv_rows): for each
-    distinct leading row piv_rows[i], in increasing order, one column
-    piv_cols[i] leading there.  Ordered by their leading rows these
-    columns are in column-echelon form, so they are independent mod p
-    and their number is a lower bound for rank_p.  They are the
-    structural pivots of the transposed block, in the form
-    :func:`_schur_rank_lb` takes for it.
+    live marks the entries nonzero mod p, and a column's leading row is
+    its first one with a live entry.  One column for each distinct
+    leading row, ordered by those rows, is in column-echelon form, so
+    the count is a lower bound for rank_p: the structural pivots of the
+    transposed block.
     """
     (m, n), indptr, indices, _ = block
     rows = np.repeat(np.arange(m), np.diff(indptr))[live]
     lead = np.full(n, m)  # m: the column has no live entry
     np.minimum.at(lead, indices[live], rows)
-    col_at = np.full(m + 1, -1)
-    col_at[lead] = np.arange(n)
-    piv_rows = np.flatnonzero(col_at[:m] >= 0)
-    return col_at[piv_rows], piv_rows
+    return int(np.count_nonzero(np.bincount(lead, minlength=m + 1)[:m]))
 
 
 def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int:

@@ -632,22 +632,17 @@ def test_pivot_and_schur_bound_never_exceeds_exact_rank(
     assert lb <= min(needed, rank_exact(dense))
     if max(m, n) <= 32:  # no block is long enough to be projected
         assert lb == min(needed, rank_p)
-    # the Schur complement of the whole matrix's row pivots, and of its
-    # column pivots on the transposed matrix, ranked without a projection
-    # whenever no side of S is 32 longer than the other
+    # both pivot counts are bounds, and the Schur complement of the row
+    # pivots, ranked without a projection whenever no side of S is 32
+    # longer than the other, makes up the rest of rank_p
     block = (mat.shape, mat.indptr, mat.indices, mat.data)
     live = mat.data % p != 0
-    flipped = complexes._transposed(block)
-    assert np.array_equal(sp.csr_matrix(flipped[3:0:-1], shape=flipped[0]).toarray(), dense.T)
-    for side, (piv_rows, piv_cols) in (
-        (block, complexes._structural_pivots(block, live)),
-        (flipped, complexes._column_pivots(block, live)),
-    ):
-        k = len(piv_rows)
-        assert k <= rank_p
-        if max(m, n) <= min(m, n) + 32:
-            s_rank = complexes._schur_rank_lb(side, p, min(m, n) - k, piv_rows, piv_cols)
-            assert k + s_rank == rank_p
+    piv_rows, piv_cols = complexes._structural_pivots(block, live)
+    k = len(piv_rows)
+    assert max(k, complexes._column_pivot_count(block, live)) <= rank_p
+    if max(m, n) <= min(m, n) + 32:
+        s_rank = complexes._schur_rank_lb(block, p, min(m, n) - k, piv_rows, piv_cols)
+        assert k + s_rank == rank_p
 
 
 def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
@@ -692,24 +687,17 @@ def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
 def test_schur_complement_is_refused_past_the_dense_limit(monkeypatch):
     # every row of a positive 80 x 10 block of rank 10 leads at column 0,
     # and every column at row 0: one pivot on each side, so the bound
-    # comes from the S of the rows, whose side-by-side B and D take
-    # 80 x 9 entries.  In its 10 x 80 transpose with row 0 cut to one
-    # entry, column 0 leads at row 0 and the others at row 1: the two
-    # column pivots beat the one row pivot, and the S of the transposed
-    # block takes 80 x 8 entries
+    # comes from S, whose side-by-side B and D take 80 x 9 entries
     rng = np.random.default_rng(3)
     block = rng.integers(1, 4, size=(80, 10))
-    flipped = block.T.copy()
-    flipped[0, 1:] = 0
+    assert rank_exact(block) == 10
+    mat = sp.csr_matrix(block)
     p = MOD_PRIMES[0]
-    for dense, room in ((block, 80 * 9), (flipped, 80 * 8)):
-        assert rank_exact(dense) == 10
-        mat = sp.csr_matrix(dense)
-        monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", room)
-        assert complexes._cert_rank_lb(mat, p, 10) == 10
-        monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", room - 1)
-        with pytest.raises(DataError, match="too large for a dense rank"):
-            complexes._cert_rank_lb(mat, p, 10)
+    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9)
+    assert complexes._cert_rank_lb(mat, p, 10) == 10
+    monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9 - 1)
+    with pytest.raises(DataError, match="too large for a dense rank"):
+        complexes._cert_rank_lb(mat, p, 10)
 
 
 @settings(max_examples=80, deadline=None)
