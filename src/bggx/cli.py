@@ -771,8 +771,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # a run's objects are few next to the import-time heap (numpy, scipy,
-    # bggx); frozen, that heap is left out of every full collection
+    # a run's objects are few next to the import-time heap (numpy, bggx);
+    # frozen, that heap is left out of every full collection
     gc.freeze()
     start = time.perf_counter()
     try:

@@ -12,9 +12,10 @@ and differentials sending a monomial w_{t_1}...w_{t_m} (x) alpha to the
 sum over distinct members t of the monomial with one t removed, tensor
 w_t wedge alpha, weighted by the multiplicity of t.
 
-Matrices are held as sparse int64 with one global rational scale per
-map (denominators of W and of the datum are cleared once), so rank and
-homology computations run on integers and remain exact.
+Matrices are held as int64 CSR arrays (:class:`Csr`) with one global
+rational scale per map (denominators of W and of the datum are cleared
+once), so rank and homology computations run on integers and remain
+exact.  Every sparse product is a numpy kernel of this module.
 
 Every rank is certified per independent block of its map (the connected
 components of the row/column graph).  The lower bound is a rank mod p,
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ratlinalg import (
     LIFT_PRIMES,
@@ -54,6 +55,26 @@ from .ratlinalg import (
 
 class DataError(ValueError):
     """Malformed or inconsistent input data (as opposed to usage errors)."""
+
+
+class Csr(NamedTuple):
+    """An integer matrix in compressed sparse row form.
+
+    Row r stores data[indptr[r]:indptr[r + 1]] at the columns
+    indices[indptr[r]:indptr[r + 1]].  The maps of :func:`build_complex`
+    and the blocks of :func:`_independent_blocks` are canonical: column
+    indices strictly increasing inside each row and no stored zero, so
+    equal matrices have equal arrays.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
 
 
 def whole_number(x) -> int:
@@ -155,7 +176,8 @@ class SubspaceW:
     __slots__ = ("q", "k", "columns")
 
     def __init__(self, columns: Sequence[Sequence]):
-        cols = tuple(tuple(Fraction(x) for x in col) for col in columns)
+        cols = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in col)
+                     for col in columns)
         if not cols:
             raise ValueError("W needs at least one basis vector")
         q = len(cols[0])
@@ -444,7 +466,7 @@ def _equal_components(sizes, a_, i_, rows, cols, vals):
         return None
     start = np.concatenate(([0], np.cumsum(sizes)))
     src, dst = start[i_] + cols, start[i_ + 1] + rows
-    if np.unique(np.concatenate((src, dst))).size < nodes:
+    if np.count_nonzero(np.bincount(np.concatenate((src, dst)), minlength=nodes)) < nodes:
         return None
     _, comp = np.unique(_component_roots(nodes, src, dst), return_inverse=True)
     count = int(comp.max()) + 1
@@ -531,24 +553,6 @@ def _sym_basis(k: int, m: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(k), m))
 
 
-def _contraction(k: int, m: int, t: int) -> sp.csr_matrix:
-    """Matrix of d/d(w_t): Sym^m -> Sym^{m-1}, entry = multiplicity of t."""
-    src = _sym_basis(k, m)
-    dst_index = {ms: i for i, ms in enumerate(_sym_basis(k, m - 1))}
-    rows, cols, vals = [], [], []
-    for col, ms in enumerate(src):
-        mult = ms.count(t)
-        if mult:
-            removed = list(ms)
-            removed.remove(t)
-            rows.append(dst_index[tuple(removed)])
-            cols.append(col)
-            vals.append(mult)
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(dst_index), len(src)), dtype=np.int64
-    )
-
-
 # Bound on the contraction cache, far above the 126 (k, m, t) keys that the
 # q = 2..6 exactness battery uses.
 _CONTRACTION_CACHE_SIZE = 1024
@@ -556,9 +560,23 @@ _CONTRACTION_CACHE_SIZE = 1024
 
 @functools.lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
 def _contraction_coo(k: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate form of :func:`_contraction`, cached as read-only arrays."""
-    mat = _contraction(k, m, t).tocoo()
-    arrays = (mat.row.astype(np.int64), mat.col.astype(np.int64), mat.data.astype(np.int64))
+    """Matrix of d/d(w_t): Sym^m -> Sym^{m-1} in coordinate form.
+
+    Returns int64 arrays (rows, cols, vals), cached and read-only: column
+    col is the multiset at position col of :func:`_sym_basis`(k, m), and
+    where it holds t, its entry is the multiplicity of t, in the row of
+    the multiset with one t removed.
+    """
+    dst_index = {ms: i for i, ms in enumerate(_sym_basis(k, m - 1))}
+    rows, cols, vals = [], [], []
+    for col, ms in enumerate(_sym_basis(k, m)):
+        mult = ms.count(t)
+        if mult:
+            at = ms.index(t)
+            rows.append(dst_index[ms[:at] + ms[at + 1 :]])
+            cols.append(col)
+            vals.append(mult)
+    arrays = tuple(np.array(x, dtype=np.int64) for x in (rows, cols, vals))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -583,8 +601,9 @@ class ComplexOfMatrices:
     copies: int = 1
 
     def __eq__(self, other):
-        # the generated __eq__ would compare the scipy maps with their
-        # elementwise ==, whose truth value is ambiguous
+        # the generated __eq__ would compare the maps' arrays with their
+        # elementwise ==, whose truth value is ambiguous; the maps are
+        # canonical, so equal matrices have equal arrays
         if not isinstance(other, ComplexOfMatrices):
             return NotImplemented
         return (
@@ -594,26 +613,43 @@ class ComplexOfMatrices:
             and self.labels == other.labels
             and len(self.maps) == len(other.maps)
             and all(
-                a.shape == b.shape and (a != b).nnz == 0
+                a.shape == b.shape and all(map(np.array_equal, a[1:], b[1:]))
                 for a, b in zip(self.maps, other.maps)
             )
         )
 
 
-def _compose_is_zero(later: sp.csr_matrix, earlier: sp.csr_matrix) -> bool:
+def _compose_is_zero(later: Csr, earlier: Csr) -> bool:
+    """Whether later @ earlier vanishes, computed exactly.
+
+    Each entry (i, k) of later is expanded against row k of earlier, and
+    the products are summed at their positions by :func:`_canonical_csr`.
+    """
     if not (later.nnz and earlier.nnz):
         return True
     # an entry of the product, and each partial sum of it, adds at most
     # one term per entry of a row of later, each below mx_l * mx_e
     mx_l, mx_e = int(abs(later.data).max()), int(abs(earlier.data).max())
-    if mx_l * mx_e * int(np.diff(later.indptr).max()) < 2**62:
-        return (later @ earlier).count_nonzero() == 0
+    m, n = later.shape[0], earlier.shape[1]
+    if mx_l * mx_e * int(np.diff(later.indptr).max()) < 2**62 and m * n < 2**63:
+        # term x pairs entry ent[x] of later, in column k, with entry
+        # at[x] of earlier, which runs over row k
+        lengths = np.diff(earlier.indptr)[later.indices]
+        ent = np.repeat(np.arange(later.nnz), lengths)
+        offset = earlier.indptr[later.indices] - (np.cumsum(lengths) - lengths)
+        at = np.arange(len(ent)) + np.repeat(offset, lengths)
+        rows = np.repeat(np.arange(m), np.diff(later.indptr))[ent]
+        flat = rows * n + earlier.indices[at]
+        return _canonical_csr((m, n), [flat], [later.data[ent] * earlier.data[at]]).nnz == 0
     # int64 could overflow: redo the product in exact big-int arithmetic
-    lc = later.tocoo()
-    a = SparseRat(later.shape, {(r, c): int(v) for r, c, v in zip(lc.row, lc.col, lc.data)})
-    ec = earlier.tocoo()
-    b = SparseRat(earlier.shape, {(r, c): int(v) for r, c, v in zip(ec.row, ec.col, ec.data)})
-    return a.compose(b).is_zero()
+    return _to_sparse_rat(later).compose(_to_sparse_rat(earlier)).is_zero()
+
+
+def _to_sparse_rat(mat: Csr) -> SparseRat:
+    """mat as a SparseRat, entries in Python ints."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    ent = zip(rows.tolist(), mat.indices.tolist(), mat.data.tolist())
+    return SparseRat(mat.shape, {(r, c): v for r, c, v in ent})
 
 
 def term_dims(datum: HodgeDatum, k: int, r: int, j: int) -> tuple[int, ...]:
@@ -714,20 +750,21 @@ def build_complex(
     )
 
 
-def _canonical_csr(shape, flat_parts, vals_parts) -> sp.csr_matrix:
+def _canonical_csr(shape, flat_parts, vals_parts) -> Csr:
     """The int64 CSR matrix with entries vals_parts summed at flat_parts.
 
     Equal flat positions row * shape[1] + col are summed and zero sums
-    dropped, so the arrays handed to scipy are canonical: sorted column
-    indices, no duplicates, no explicit zeros.  The sums of
-    :func:`build_complex`'s parts are exact in int64: positions within
-    one part are distinct, so at most k parts meet at a position, and
-    the (k + 1)-term guard there keeps each term below 2**62 / (k + 1),
-    so every sum stays below 2**62.
+    dropped, so the result is canonical: sorted column indices, no
+    duplicates, no explicit zeros.  The sums of :func:`build_complex`'s
+    parts are exact in int64: positions within one part are distinct,
+    so at most k parts meet at a position, and the (k + 1)-term guard
+    there keeps each term below 2**62 / (k + 1), so every sum stays
+    below 2**62.
     """
-    if not any(part.size for part in flat_parts):
-        return sp.csr_matrix(shape, dtype=np.int64)
     m, n = shape
+    if not any(part.size for part in flat_parts):
+        empty = np.zeros(0, dtype=np.int64)
+        return Csr(shape, np.zeros(m + 1, dtype=np.int64), empty, empty)
     flat = np.concatenate(flat_parts)
     order = np.argsort(flat)
     flat = flat[order]
@@ -735,12 +772,9 @@ def _canonical_csr(shape, flat_parts, vals_parts) -> sp.csr_matrix:
     sums = np.add.reduceat(np.concatenate(vals_parts)[order], starts)
     keep = sums != 0
     rows, cols = np.divmod(flat[starts[keep]], n)
-    data = sums[keep]
-    # scipy's own index dtype, so that it keeps the arrays as they are
-    index = np.int32 if max(m, n, data.size) < 2**31 else np.int64
-    indptr = np.zeros(m + 1, dtype=index)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=m))
-    return sp.csr_matrix((data, cols.astype(index), indptr), shape=shape)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return Csr(shape, indptr, cols, sums[keep])
 
 
 _DENSE_RANK_LIMIT = 60_000_000
@@ -758,8 +792,8 @@ def _refuse_dense(shape) -> None:
 def _dense(shape, indptr, indices, data) -> np.ndarray:
     """The CSR arrays of a matrix scattered into a dense int64 array.
 
-    Entries at a repeated position are summed, as scipy does.  Refuses,
-    as a DataError, a matrix with more than _DENSE_RANK_LIMIT entries.
+    Entries at a repeated position are summed.  Refuses, as a DataError,
+    a matrix with more than _DENSE_RANK_LIMIT entries.
     """
     _refuse_dense(shape)
     out = np.zeros(shape, dtype=np.int64)
@@ -772,9 +806,7 @@ def _component_roots(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Min-label hooking with pointer jumping: every round hooks the larger
     of the two roots across each edge onto the smaller and then flattens
-    the trees, until no edge joins two roots.  (scipy.sparse.csgraph would
-    do the same, but importing it loads scipy.linalg and
-    scipy.sparse.linalg, about 11 MB and 0.1 s per process.)
+    the trees, until no edge joins two roots.
     """
     parent = np.arange(n_nodes)
     while True:
@@ -789,12 +821,12 @@ def _component_roots(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             parent = up
 
 
-def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
+def _independent_blocks(mat: Csr) -> list[Csr]:
     """The diagonal blocks of mat up to a permutation of rows and columns.
 
     Blocks are the connected components of the bipartite graph joining
-    row r to column c wherever mat stores an entry at (r, c), returned as
-    CSR arrays (shape, indptr, indices, data) read straight from mat's.
+    row r to column c wherever mat stores an entry at (r, c), each a
+    :class:`Csr` whose arrays are read straight from mat's.
     Rows and columns keep their relative order inside a block, and so do
     the entries inside a row, so blocks that are equal up to that
     relabelling come out with equal arrays.  Empty rows and columns
@@ -810,7 +842,7 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
     )
     count = len(roots)
     if count == 1:
-        return [(mat.shape, indptr, indices, data)]
+        return [mat]
     # renumber rows and columns block by block, then cut the diagonal;
     # new row x is old row row_src[x], whose entries keep their order
     row_lab, col_lab = labels[:m], labels[m:]
@@ -832,7 +864,7 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
         if r0 < r1 and c0 < c1:
             lo, hi = new_indptr[r0], new_indptr[r1]
             blocks.append(
-                (
+                Csr(
                     (r1 - r0, c1 - c0),
                     new_indptr[r0 : r1 + 1] - lo,
                     new_indices[lo:hi] - c0,
@@ -842,7 +874,7 @@ def _independent_blocks(mat: sp.csr_matrix) -> list[tuple]:
     return blocks
 
 
-def _sum_over_blocks(mat: sp.csr_matrix, block_rank) -> int:
+def _sum_over_blocks(mat: Csr, block_rank) -> int:
     """Sum of block_rank(block) over the independent blocks of mat.
 
     Blocks with equal CSR arrays (see :func:`_independent_blocks`) are
@@ -862,7 +894,7 @@ def _sum_over_blocks(mat: sp.csr_matrix, block_rank) -> int:
     return total
 
 
-def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
+def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
     """Lower bound for rank(mat) over F_p, hence over Q, capped at needed.
 
     The sum over the independent blocks of :func:`_block_rank_lb`, with
@@ -870,25 +902,25 @@ def _cert_rank_lb(mat: sp.csr_matrix, p: int, needed: int) -> int:
     structural pivots of its rows, then those of its columns, then a
     dense modular rank of itself or of a Schur complement, each only
     when the one before falls short; where the sum still falls short,
-    the walk ranks mat by the lifted kernels of
-    :func:`_rank_exact_csr`.  Whenever no block is projected the result
-    is min(needed, rank_p(mat)).
+    the walk ranks mat by the lifted kernels of :func:`_rank_exact_csr`.
+    Whenever no block is projected the result is min(needed, rank_p(mat)).
     """
-    if not mat.has_canonical_format:
+    (m, n), indptr, indices, data = mat
+    flat = np.repeat(np.arange(m), np.diff(indptr)) * n + indices
+    if (np.diff(flat) <= 0).any():
         # a row's first stored entry is taken as its leading one, which
         # needs sorted column indices and summed duplicates
-        mat = mat.copy()
-        mat.sum_duplicates()
-    total = _sum_over_blocks(mat, lambda block: _block_rank_lb(block, p, min(needed, *block[0])))
+        mat = _canonical_csr(mat.shape, [flat], [data])
+    total = _sum_over_blocks(mat, lambda b: _block_rank_lb(b, p, min(needed, *b.shape)))
     return min(needed, total)
 
 
-def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
+def _block_rank_lb(block: Csr, p: int, needed: int) -> int:
     """Lower bound for the rank of one block over F_p, aimed at needed.
 
-    block holds canonical CSR arrays (shape, indptr, indices, data).  The
-    steps run in this order, each only when the ones before fall short
-    of needed, and steps 3 and 4 exclude each other:
+    block is canonical (see :class:`Csr`).  The steps run in this order,
+    each only when the ones before fall short of needed, and steps 3 and
+    4 exclude each other:
 
     1. The structural pivots of the rows, :func:`_structural_pivots`.
     2. The structural pivots of the columns,
@@ -901,8 +933,7 @@ def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
        rank_p(block) = k + rank_p(S), and :func:`_schur_rank_lb` bounds
        rank_p(S).
     """
-    shape = block[0]
-    live = block[3] % p != 0
+    live = block.data % p != 0
     piv_rows, piv_cols = _structural_pivots(block, live)
     k = len(piv_rows)
     if k >= needed:
@@ -910,12 +941,12 @@ def _block_rank_lb(block: tuple, p: int, needed: int) -> int:
     column_k = _column_pivot_count(block, live)
     if column_k >= needed:
         return column_k
-    if needed + 32 >= max(shape):
+    if needed + 32 >= max(block.shape):
         return rank_mod(_dense(*block), p)
     return k + _schur_rank_lb(block, p, needed - k, piv_rows, piv_cols)
 
 
-def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _structural_pivots(block: Csr, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot rows of a canonical CSR block mod p, and their leading columns.
 
     live marks the entries nonzero mod p.  A row's leading column is its
@@ -939,7 +970,7 @@ def _structural_pivots(block: tuple, live: np.ndarray) -> tuple[np.ndarray, np.n
     return row_at[piv_cols], piv_cols
 
 
-def _column_pivot_count(block: tuple, live: np.ndarray) -> int:
+def _column_pivot_count(block: Csr, live: np.ndarray) -> int:
     """Number of distinct leading rows among the columns of a CSR block.
 
     live marks the entries nonzero mod p, and a column's leading row is
@@ -955,7 +986,7 @@ def _column_pivot_count(block: tuple, live: np.ndarray) -> int:
     return int(np.count_nonzero(np.bincount(lead, minlength=m + 1)[:m]))
 
 
-def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int:
+def _schur_rank_lb(block: Csr, p: int, needed: int, piv_rows, piv_cols) -> int:
     """Lower bound for rank_p(S), S the Schur complement of the pivot block.
 
     With the pivots of :func:`_structural_pivots`, order the rows and
@@ -966,13 +997,15 @@ def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int
     rank_p(block) = k + rank_p(S) (Guttman's rank additivity).
 
     A side of S longer than needed + 32 is compressed by a random
-    projection with coefficients in [0, 4), which can only lose rank;
+    projection with coefficients in [0, 4), the low two bits of bytes
+    from a generator seeded by the shape, which can only lose rank;
     the column projection h is applied to B and D before the solve, so
     only X = A^{-1} (B h) and S h are formed, and a row projection g
     then takes g (S h).  A X = B is solved by level scheduling: a pivot
     whose row of A is diagonal has level 0, any other one more than the
     highest level its row reaches, so the rows of a level depend only on
-    lower levels and each level is one CSR slice times the dense X.
+    lower levels and each level is one CSR slice times the dense X
+    (:func:`_csr_dot`).
 
     Every product is exact.  The int64 ones (B h, the level products and
     C X) sum at most max(m, n) terms below p**2 each, and the float64 row
@@ -990,7 +1023,12 @@ def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int
     live = vals != 0
     rows, cols, vals = rows[live], indices[live].astype(np.int64), vals[live]
     k = len(piv_rows)
-    rng = np.random.default_rng((m * 1000003 + n) & 0x7FFFFFFF)
+    draw = random.Random((m * 1000003 + n) & 0x7FFFFFFF)
+
+    def coefficients(size: int, width: int) -> np.ndarray:
+        raw = np.frombuffer(draw.randbytes(size * width), dtype=np.uint8)
+        return (raw & 3).reshape(size, width)
+
     t = needed + 16
     pivot_of_row = np.full(m, -1)
     pivot_of_row[piv_rows] = np.arange(k)
@@ -1026,8 +1064,8 @@ def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int
     _refuse_dense((m, width))
     if project:
         h = np.zeros((n, t), dtype=np.int64)
-        h[rest_cols] = rng.integers(0, 4, size=(len(rest_cols), t))
-        right = sp.csr_matrix((data % p, indices, indptr), shape=shape) @ h % p
+        h[rest_cols] = coefficients(len(rest_cols), t)
+        right = _csr_dot(Csr(shape, indptr, indices, data % p), h) % p
     else:
         col_at = np.full(n, -1)
         col_at[rest_cols] = np.arange(width)
@@ -1045,35 +1083,69 @@ def _schur_rank_lb(block: tuple, p: int, needed: int, piv_rows, piv_cols) -> int
     x[: ends[0]] = x[: ends[0]] * inverse[: ends[0], None] % p
     for lo, hi in zip(ends[:-1], ends[1:]):
         first, last = a_ptr[lo], a_ptr[hi]
-        a_level = sp.csr_matrix(
-            (a_vals[first:last], a_cols[first:last], a_ptr[lo : hi + 1] - first),
-            shape=(hi - lo, k),
+        a_level = Csr(
+            (hi - lo, k), a_ptr[lo : hi + 1] - first, a_cols[first:last], a_vals[first:last]
         )
-        x[lo:hi] = (x[lo:hi] - a_level @ x) % p * inverse[lo:hi, None] % p
+        x[lo:hi] = (x[lo:hi] - _csr_dot(a_level, x)) % p * inverse[lo:hi, None] % p
 
     # S = D - C X, with C's rows the rest rows and its columns in solve order
     in_c = (i < 0) & (j >= 0)
     c_ptr = np.zeros(len(rest_rows) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[in_c], minlength=m)[rest_rows], out=c_ptr[1:])
-    c = sp.csr_matrix((vals[in_c], pos[j[in_c]], c_ptr), shape=(len(rest_rows), k))
-    s = (right[rest_rows] - c @ x) % p
+    c = Csr((len(rest_rows), k), c_ptr, pos[j[in_c]], vals[in_c])
+    s = (right[rest_rows] - _csr_dot(c, x)) % p
     if len(rest_rows) > needed + 32:
-        g = rng.integers(0, 4, size=(t, len(rest_rows))).astype(np.float64)
+        g = coefficients(t, len(rest_rows)).astype(np.float64)
         s = np.mod(g @ s.astype(np.float64), p).astype(np.int64)
     return rank_mod(s, p)
 
 
-def _rank_exact_csr(mat: sp.csr_matrix) -> int:
+def _csr_dot(mat: Csr, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a two-dimensional dense x, in the dtype of their product.
+
+    The rows are taken longest first, so the rows holding an s-th stored
+    entry are a prefix of that order, and pass s adds the s-th entry of
+    each of them times its row of x in one gathered step: as many passes
+    as the longest row has entries.  Each row's entries are added in
+    their stored order, so every partial sum is a sum of at most as many
+    terms as the row holds, the count the callers' budgets assume.
+    """
+    (m, _), indptr, indices, data = mat
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = indptr[:-1][order]
+    # longer[s]: how many rows have more than s entries
+    longer = m - np.cumsum(np.bincount(lengths))
+    acc = np.zeros((m, x.shape[1]), dtype=np.result_type(data, x))
+    for s, count in enumerate(longer[:-1].tolist()):
+        at = starts[:count] + s
+        acc[:count] += data[at, None] * x[indices[at]]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _csr_transpose(mat: Csr) -> Csr:
+    """The transpose of mat, canonical when mat is: a stable argsort of
+    the column indices keeps each new row's entries in old row order."""
+    (m, n), indptr, indices, data = mat
+    order = np.argsort(indices, kind="stable")
+    indptr_t = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=indptr_t[1:])
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    return Csr((n, m), indptr_t, rows[order], data[order])
+
+
+def _rank_exact_csr(mat: Csr) -> int:
     """Exact rank of mat: the sum of :func:`_block_rank_exact` over its blocks."""
     return _sum_over_blocks(mat, _block_rank_exact)
 
 
-def _block_rank_exact(block: tuple) -> int:
+def _block_rank_exact(block: Csr) -> int:
     """Exact rank of one block, certified by a kernel lifted from F_p to Q.
 
-    block holds CSR arrays (shape, indptr, indices, data).  B is the
-    block or its transpose, whichever has fewer columns (the smaller
-    kernel).  For each prime p of LIFT_PRIMES in turn, the RREF of
+    B is the block or its transpose, whichever has fewer columns (the
+    smaller kernel).  For each prime p of LIFT_PRIMES in turn, the RREF of
     B mod p gives r_p <= rank_Q(B) and a kernel basis mod p that is the
     identity on the n - r_p free columns.  The basis is carried to Q by
     the Chinese remainder theorem over the primes so far and rational
@@ -1086,18 +1158,17 @@ def _block_rank_exact(block: tuple) -> int:
     skipped; a better one restarts the lift.  Bareiss elimination runs
     only when no lift passes its check.
     """
-    shape, indptr, indices, data = block
-    b = sp.csr_matrix((data, indices, indptr), shape=shape)
-    if shape[1] > shape[0]:
-        b = b.T.tocsr()
-    dense = _dense(b.shape, b.indptr, b.indices, b.data)
+    b = _csr_transpose(block) if block.shape[1] > block.shape[0] else block
+    dense = _dense(*b)
     n = dense.shape[1]
     best = None
     for p in LIFT_PRIMES:
         reduced, pivots = rref_mod(dense, p)
         if len(pivots) == n:
             return n  # n = r_p <= rank_Q <= n
-        free = np.setdiff1d(np.arange(n), pivots)
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
         residues = -reduced[:, free] % p
         here = (len(pivots), [-x for x in pivots.tolist()])
         if best is None or here > best:
@@ -1139,7 +1210,7 @@ def _integral_kernel(lifted, modulus: int, pivots: np.ndarray, free: np.ndarray)
     return kernel
 
 
-def _annihilates(b: sp.csr_matrix, kernel: np.ndarray) -> bool:
+def _annihilates(b: Csr, kernel: np.ndarray) -> bool:
     """Whether b @ kernel vanishes, computed exactly."""
     if not kernel.size or not b.nnz:
         return True
@@ -1147,14 +1218,9 @@ def _annihilates(b: sp.csr_matrix, kernel: np.ndarray) -> bool:
     if kernel.dtype != object:
         top = widest * int(abs(b.data).max()) * int(abs(kernel).max())
         if top < 2**62:
-            return not (b @ kernel).any()
-    # int64 could overflow: accumulate the rows in exact Python ints
-    coo = b.tocoo()
-    out = np.zeros((b.shape[0], kernel.shape[1]), dtype=object)
-    kernel = kernel.astype(object)
-    for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-        out[r] += v * kernel[c]
-    return not out.any()
+            return not _csr_dot(b, kernel).any()
+    # int64 could overflow: the same product in exact Python ints
+    return not _csr_dot(b._replace(data=b.data.astype(object)), kernel.astype(object)).any()
 
 
 def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
@@ -1197,7 +1263,7 @@ def _certified_walk(c: ComplexOfMatrices, stop_at, method: str):
             if r_i != needed:
                 r_i = _rank_exact_csr(mat)
         elif mat.nnz:
-            r_i = rank_exact(_dense(mat.shape, mat.indptr, mat.indices, mat.data))
+            r_i = rank_exact(_dense(*mat))
         else:
             r_i = 0
         h_i = d_i - r_i - r_prev

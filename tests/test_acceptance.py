@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 from math import comb
 
+import scipy.sparse as sp
+
 from bggx import bounds, complexes, models, schur, series
 from bggx.bgg import (
     chern_G_coeffs,
@@ -227,7 +229,11 @@ def test_criterion_7_complex_well_formedness(capsys):
         built.append((f"curves r=2 j={j}", complexes.build_complex(curves, W0, 2, j)))
     for name, c in built:
         for i in range(len(c.term_dims) - 2):
-            product = c.maps[i + 1] @ c.maps[i]
+            later, earlier = (
+                sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+                for m in (c.maps[i + 1], c.maps[i])
+            )
+            product = later @ earlier
             product.eliminate_zeros()
             if product.nnz:
                 bad.append(f"composition-zero fails: {name} step {i}")

@@ -173,6 +173,40 @@ def test_chern_layers_import_without_numpy_or_scipy():
     assert out.stdout.strip() == "[]"
 
 
+_RANK_ENGINE_RUN = """
+import random, sys
+import numpy as np
+import bggx.cli
+from bggx import complexes, models
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+before = set(sys.modules)
+models.theorem_battery(q_values=(3,), n_w=2, seed=1)
+dat, W = models.curves_product_model()
+moved = W.times([[1, 0, 0], [1, 1, 0], [-1, 1, 1]])
+complexes.e2_table(dat, moved, 2)
+# every row leads at column 0 and every column at row 0: one pivot on
+# each side, so the bound on this rank-10 block comes from _schur_rank_lb
+rng = random.Random(3)
+block = [rng.randint(1, 3) for _ in range(800)]
+mat = complexes._canonical_csr((80, 10), [np.arange(800)], [np.array(block)])
+schur_calls = []
+real_schur = complexes._schur_rank_lb
+complexes._schur_rank_lb = lambda *args: schur_calls.append(1) or real_schur(*args)
+assert complexes._cert_rank_lb(mat, 524287, 10) == 10 and schur_calls
+print(sorted(m for m in set(sys.modules) - before
+             if m.split('.')[0] == 'scipy' or m.startswith(('numpy.ma', 'numpy.random'))))
+"""
+
+
+def test_rank_engine_imports_no_scipy_and_nothing_lazily():
+    # scipy is gone from the package, and numpy.ma (np.unique without
+    # return_inverse, np.setdiff1d) and numpy.random are imported on
+    # first use: none of them may load inside a run's timed work
+    out = subprocess.run([sys.executable, "-c", _RANK_ENGINE_RUN], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 # ------------------------------------------------------------ g-polynomials
 
 def test_g1_matches_closed_form():

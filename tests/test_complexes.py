@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bggx import complexes
@@ -53,6 +53,8 @@ def test_subspace_validation_and_basis_change():
     assert V.k == V.q == 3
     W = SubspaceW([["1/2", 1, 0], [0, 1, 1]])
     assert W.k == 2 and W.q == 3
+    half = Fraction(1, 2)
+    assert SubspaceW([[half, 1, 0], [0, 1, 1]]).columns[0][0] is half  # kept as given
     same = W.times([[1, 0], [0, 1]])
     assert same.columns == W.columns
     doubled = W.times([[2, 0], [0, 2]])
@@ -186,10 +188,21 @@ def test_json_round_trip_of_both_encodings():
     _assert_same_datum(_json_round_trip(product), product)
 
 
+def _csr(a) -> complexes.Csr:
+    """a, anything scipy's csr_matrix accepts, as a Csr with scipy's arrays."""
+    mat = sp.csr_matrix(a)
+    return complexes.Csr(mat.shape, mat.indptr, mat.indices, mat.data)
+
+
+def _scipy(mat: complexes.Csr) -> sp.csr_matrix:
+    """A Csr as a scipy matrix, the oracle for products and comparisons."""
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def _map_dense(c, i):
     """Exact rational entries of the i-th differential of one summand of c."""
     s = c.map_scales[i]
-    return [[x * s for x in row] for row in c.maps[i].toarray().tolist()]
+    return [[x * s for x in row] for row in _scipy(c.maps[i]).toarray().tolist()]
 
 
 def test_build_complex_abelian_small():
@@ -234,13 +247,13 @@ def test_complex_equality_compares_maps_by_value():
     a, b = build_complex(dat, W, 2, 0), build_complex(dat, W, 2, 0)
     assert a == b and hash(a) == hash(b)
     assert a != build_complex(dat, W, 2, 1)
-    assert a != dataclasses.replace(a, maps=(2 * a.maps[0], a.maps[1]))
+    assert a != dataclasses.replace(a, maps=(_csr(2 * _scipy(a.maps[0])), a.maps[1]))
     assert a != dataclasses.replace(a, map_scales=(Fraction(1, 2), Fraction(1, 2)))
     assert a != "not a complex"
 
 
 def test_zero_complex_homology():
-    z = sp.csr_matrix((0, 0))
+    z = _csr((0, 0))
     c = ComplexOfMatrices(term_dims=(0, 0, 0), maps=(z, z), map_scales=(Fraction(1), Fraction(1)))
     assert homology_dims(c) == (0, 0, 0)
 
@@ -268,7 +281,7 @@ def test_truncated_assembly_serves_the_walk_up_to_stop_at():
                     assert part.map_scales == full.map_scales[:t]
                     assert len(part.maps) == t
                     for a, b in zip(part.maps, full.maps):
-                        assert a.shape == b.shape and (a != b).nnz == 0
+                        assert a.shape == b.shape and (_scipy(a) != _scipy(b)).nnz == 0
                     assert exactness_prefix(part, stop_at=t) == exactness_prefix(full, stop_at=t)
                     if t < n:
                         with pytest.raises(ValueError, match="not assembled"):
@@ -428,7 +441,7 @@ def test_summands_that_differ_in_sign_are_not_merged():
         assert dat.summand(1)[:2] == (copies, sizes)
         c = build_complex(dat, W, 2, 1)
         assert c.copies == copies and c.term_dims == (2, 2)
-        assert c.maps[0].toarray().tolist() == ([[2]] if sign == 1 else [[2, 0], [0, -2]])
+        assert _scipy(c.maps[0]).toarray().tolist() == ([[2]] if sign == 1 else [[2, 0], [0, -2]])
         assert homology_dims(c) == homology_dims(c, method="exact") == (0, 0)
     # a basis vector on no edge keeps its column whole
     lone = HodgeDatum(1, 1, [[1, 3], [1, 2]], {(1, 0, 1): [[1, 0, 0], [0, 1, 0]]})
@@ -456,15 +469,15 @@ def test_homology_over_coordinate_random_and_echelon_w_agree():
 
 def test_composition_check_is_exact_past_int64():
     # (2**32)**2 wraps to 0 in int64: the check must not take that product
-    big = sp.csr_matrix(np.array([[2**32]], dtype=np.int64))
+    big = _csr(np.array([[2**32]], dtype=np.int64))
     assert not complexes._compose_is_zero(big, big)
     # entries near 2**40 whose products still fit: one term per entry of
     # a row of later, here 2
-    later = sp.csr_matrix(np.array([[2**20, 2**20]], dtype=np.int64))
-    earlier = sp.csr_matrix(np.array([[2**40], [-(2**40)]], dtype=np.int64))
+    later = _csr(np.array([[2**20, 2**20]], dtype=np.int64))
+    earlier = _csr(np.array([[2**40], [-(2**40)]], dtype=np.int64))
     assert complexes._compose_is_zero(later, earlier)
-    assert not complexes._compose_is_zero(later, 3 * abs(earlier))
-    assert complexes._compose_is_zero(later, sp.csr_matrix((2, 1), dtype=np.int64))
+    assert not complexes._compose_is_zero(later, _csr(3 * abs(_scipy(earlier))))
+    assert complexes._compose_is_zero(later, _csr(sp.csr_matrix((2, 1), dtype=np.int64)))
 
 
 def test_anticommutation_fault_is_diagnosed():
@@ -527,7 +540,7 @@ def _interleaved_blocks(rng, blocks, empty_rows, empty_cols):
     full = np.zeros((m, n), dtype=np.int64)
     for b, r, c in zip(blocks, rows, cols):
         full[np.ix_(r, c)] = b
-    return sp.csr_matrix(full)
+    return _csr(full)
 
 
 def _block(rng, rows, cols, rank):
@@ -539,7 +552,7 @@ def _reversed_rows(mat):
     """mat as CSR arrays whose column indices run backwards inside each row."""
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     order = np.lexsort((-np.arange(mat.nnz), rows))
-    return sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
+    return complexes.Csr(mat.shape, mat.indptr, mat.indices[order], mat.data[order])
 
 
 def test_block_split_certificate(monkeypatch):
@@ -567,7 +580,7 @@ def test_block_split_certificate(monkeypatch):
         mat = _interleaved_blocks(rng, blocks, empty_rows, empty_cols)
         if reverse:
             mat = _reversed_rows(mat)
-            assert not mat.has_sorted_indices
+            assert not _scipy(mat).has_sorted_indices
         found = [
             sp.csr_matrix((data, indices, indptr), shape=shape).toarray()
             for shape, indptr, indices, data in complexes._independent_blocks(mat)
@@ -576,7 +589,7 @@ def test_block_split_certificate(monkeypatch):
         want = [b[b.any(axis=1)][:, b.any(axis=0)] for b in blocks if b.any()]
         key = lambda a: (a.shape, a.tobytes())  # noqa: E731
         assert sorted(map(key, found)) == sorted(map(key, want))
-        exact = rank_exact(mat.toarray())
+        exact = rank_exact(_scipy(mat).toarray())
         for p in MOD_PRIMES:
             for needed in (exact, exact + 40):
                 ranked.clear()
@@ -625,7 +638,7 @@ def test_pivot_and_schur_bound_never_exceeds_exact_rank(
     rng = np.random.default_rng(seed)
     m, n = (long_side, short_side) if tall else (short_side, long_side)
     dense = _staircase(rng, n, m, p, density).T if by_columns else _staircase(rng, m, n, p, density)
-    mat = sp.csr_matrix(dense)
+    mat = _csr(dense)
     needed = min(needed, m, n)
     rank_p = rank_mod(dense, p)
     lb = complexes._cert_rank_lb(mat, p, needed)
@@ -670,7 +683,7 @@ def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
     tall = np.vstack([echelon, combos])[rng.permutation(90)]
     small = np.triu(rng.integers(1, 4, size=(5, 5)))[rng.permutation(5)]
     for block, rank, by_rows in ((tall, 40, True), (small, 5, True), (tall.T, 40, False), (small.T, 5, False)):
-        mat = sp.csr_matrix(block)
+        mat = _csr(block)
         arrays = (mat.shape, mat.indptr, mat.indices, mat.data)
         row_pivots = complexes._structural_pivots(arrays, mat.data % p != 0)[0]
         assert (len(row_pivots) == rank) == by_rows
@@ -680,7 +693,7 @@ def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
     # a leading entry divisible by p hides its pivot on both sides:
     # ranked mod p again
     small[np.flatnonzero(small[:, 0])[0], 0] = p
-    assert complexes._cert_rank_lb(sp.csr_matrix(small), p, 5) == rank_mod(small, p)
+    assert complexes._cert_rank_lb(_csr(small), p, 5) == rank_mod(small, p)
     assert calls == [("rank_mod", (5, 5))]
 
 
@@ -691,7 +704,7 @@ def test_schur_complement_is_refused_past_the_dense_limit(monkeypatch):
     rng = np.random.default_rng(3)
     block = rng.integers(1, 4, size=(80, 10))
     assert rank_exact(block) == 10
-    mat = sp.csr_matrix(block)
+    mat = _csr(block)
     p = MOD_PRIMES[0]
     monkeypatch.setattr(complexes, "_DENSE_RANK_LIMIT", 80 * 9)
     assert complexes._cert_rank_lb(mat, p, 10) == 10
@@ -716,14 +729,73 @@ def test_assembly_matches_scipy_coo_to_csr(m, n, entries, cancelled, parts):
     entries = [(r % m, c % n, v) for r, c, v in entries]
     entries += [(r, c, -v) for r, c, v in (entries[i % len(entries)] for i in cancelled if entries)]
     rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    got = complexes._canonical_csr(
+    got = _scipy(complexes._canonical_csr(
         (m, n), np.array_split(rows * n + cols, parts), np.array_split(vals, parts)
-    )
+    ))
     want = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
     want.eliminate_zeros()
     assert got.shape == want.shape and got.dtype == want.dtype == np.int64
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def _factors(draw):
+    """Integer matrices later (m x k) and earlier (k x n), mostly zeros.
+
+    Any side may be 0, and rows and columns are often empty.  Half of
+    the pairs are [A, A] and [[B], [-B]], whose product vanishes.
+    """
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    cells = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    later, earlier = matrix(m, k), matrix(k, n)
+    if draw(st.booleans()):
+        later, earlier = np.hstack([later, later]), np.vstack([earlier, -earlier])
+    return later, earlier
+
+
+# the pair of test_composition_check_is_exact_past_int64: the int64 path,
+# and past its bound the exact path
+_PAST_2_40 = (np.array([[2**20, 2**20]]), np.array([[2**40], [-(2**40)]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_factors())
+@example(pair=_PAST_2_40)
+@example(pair=(_PAST_2_40[0], 3 * abs(_PAST_2_40[1])))
+def test_compose_is_zero_matches_scipy(pair):
+    later, earlier = pair
+    want = (sp.csr_matrix(later) @ sp.csr_matrix(earlier)).count_nonzero() == 0
+    assert complexes._compose_is_zero(_csr(later), _csr(earlier)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_factors(), exact=st.booleans())
+def test_csr_dot_matches_scipy(pair, exact):
+    dense, x = pair
+    mat = _csr(dense)
+    want = sp.csr_matrix(dense) @ x
+    if exact:  # Python ints past int64, as in the exact check of a lifted kernel
+        mat = mat._replace(data=mat.data.astype(object))
+        x, want = x.astype(object) * 2**70, want.astype(object) * 2**70
+    got = complexes._csr_dot(mat, x)
+    assert got.dtype == (object if exact else np.int64)
+    assert got.shape == want.shape and (got == want).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_factors())
+def test_csr_transpose_round_trips(pair):
+    mat = _csr(pair[0])
+    t = complexes._csr_transpose(mat)
+    assert t.shape == mat.shape[::-1] and (_scipy(t) != _scipy(mat).T).nnz == 0
+    back = complexes._csr_transpose(t)
+    assert back.shape == mat.shape and all(map(np.array_equal, back[1:], mat[1:]))
 
 
 def test_auto_matches_exact_on_split_abelian_maps():
@@ -770,8 +842,8 @@ def _tracking_ranks(monkeypatch):
 )
 def test_lifted_kernel_rank_matches_bareiss_on_products(seed, rows, cols, rank):
     rng = np.random.default_rng(seed)
-    mat = sp.csr_matrix(_block(rng, rows, cols, min(rank, rows, cols)))
-    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray())
+    mat = _csr(_block(rng, rows, cols, min(rank, rows, cols)))
+    assert complexes._rank_exact_csr(mat) == rank_exact(_scipy(mat).toarray())
 
 
 @settings(max_examples=40, deadline=None)
@@ -791,7 +863,7 @@ def test_lifted_kernel_rank_matches_bareiss_on_block_diagonals(
     blocks = [_block(rng, m, n, min(r, m, n)) for m, n, r in shapes]
     blocks += blocks[:1] * (repeats - 1)  # equal blocks are ranked once
     mat = _interleaved_blocks(rng, blocks, empty_rows, empty_cols)
-    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray())
+    assert complexes._rank_exact_csr(mat) == rank_exact(_scipy(mat).toarray())
 
 
 def test_unlucky_prime_lift_fails_its_check(monkeypatch):
@@ -799,11 +871,11 @@ def test_unlucky_prime_lift_fails_its_check(monkeypatch):
     # mod MOD_PRIMES[0] row 1 vanishes: diag(1, p0) sits inside the block
     p0 = MOD_PRIMES[0]
     core = np.array([[1, 1, 0], [0, p0, p0], [1, 1 + p0, p0]])
-    assert complexes._cert_rank_lb(sp.csr_matrix(core), p0, 3) == 1
+    assert complexes._cert_rank_lb(_csr(core), p0, 3) == 1
     rng = np.random.default_rng(5)
     mat = _interleaved_blocks(rng, [core, _block(rng, 6, 4, 2)], 2, 1)
     primes, exact_shapes = _tracking_ranks(monkeypatch)
-    assert complexes._rank_exact_csr(mat) == rank_exact(mat.toarray()) == 4
+    assert complexes._rank_exact_csr(mat) == rank_exact(_scipy(mat).toarray()) == 4
     # the core's kernel mod p0 has the wrong dimension, so its lift fails
     # the exact check; the next prime has the rational rank and pivots
     assert primes.count(p0) == 2 and primes.count(MOD_PRIMES[1]) == 1
@@ -825,13 +897,13 @@ def test_kernel_lift_combines_primes_by_crt(monkeypatch):
     # 2**62, in Python ints), and the cleared kernel times the block
     # exceeds the int64 bound, so the exact check runs in Python ints too
     primes, exact_shapes = _tracking_ranks(monkeypatch)
-    assert complexes._rank_exact_csr(sp.csr_matrix(_sum_row_block(2**20))) == 2
+    assert complexes._rank_exact_csr(_csr(_sum_row_block(2**20))) == 2
     assert primes == list(LIFT_PRIMES[:4]) and not exact_shapes
     # denominators near 2**101 are beyond every product of LIFT_PRIMES:
     # each lift fails and Bareiss decides
     primes.clear()
     block = _sum_row_block(2**50)
-    assert complexes._rank_exact_csr(sp.csr_matrix(block)) == 2
+    assert complexes._rank_exact_csr(_csr(block)) == 2
     assert primes == list(LIFT_PRIMES) and exact_shapes == [block.shape]
 
 
