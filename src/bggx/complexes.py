@@ -910,7 +910,7 @@ def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
     if (np.diff(flat) <= 0).any():
         # a row's first stored entry is taken as its leading one, which
         # needs sorted column indices and summed duplicates
-        mat = _canonical_csr(mat.shape, [flat], [data])
+        mat = _canonical_csr((m, n), [flat], [data])
     total = _sum_over_blocks(mat, lambda b: _block_rank_lb(b, p, min(needed, *b.shape)))
     return min(needed, total)
 
