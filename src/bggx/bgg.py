@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .coefpoly import CoefPoly, hq_poly
-from .partitions import box_partitions, strictly_bigger
+from .partitions import contains
 from .schur import SchubertExpr, grassmannian, stable
 from .series import (
     GradedSeries,
@@ -144,13 +144,13 @@ def verify_conjecture(k: int, q: int) -> ConjectureReport:
     mu = mu_partition(k, q)
     f = chern_F(k, q)
     coeffs = f.terms()
-    offending = []
-    for lam in box_partitions(k, q - k, min_size=sum(mu) + 1):
-        if not strictly_bigger(lam, mu):
-            continue
-        c = coeffs.get(lam, 0)
-        if c:
-            offending.append((lam, c))
+    # the nonzero coefficients at a nu strictly containing mu, in the order
+    # of box_partitions: at the first differing row the larger part comes
+    # first, and a partition comes before its extensions
+    offending = sorted(
+        ((nu, c) for nu, c in coeffs.items() if c and nu != mu and contains(nu, mu)),
+        key=lambda item: [-x for x in item[0]],
+    )
     return ConjectureReport(
         k=k,
         q=q,

@@ -17,13 +17,15 @@ rational scale per map (denominators of W and of the datum are cleared
 once), so rank and homology computations run on integers and remain
 exact.  Every sparse product is a numpy kernel of this module.
 
-Every rank is certified per independent block of its map (the connected
-components of the row/column graph).  The lower bound is a rank mod p,
-found in this order and only as far as needed: the structural pivots of
-the rows (distinct leading columns, already in echelon form), those of
-the columns (distinct leading rows, in column-echelon form), and then a
-dense modular elimination of the block or, for blocks far larger than
-the rank sought, of the Schur complement of the row pivots.
+The lower bound is a rank mod p, found in this order and only as far as
+needed: the structural pivots of the rows (distinct leading columns,
+already in echelon form), those of the columns (distinct leading rows,
+in column-echelon form), and then a dense modular elimination of the
+block or, for blocks far larger than the rank sought, of the Schur
+complement of the row pivots.  The two pivot counts run on the whole map
+first; only when both fall short is the map split into its independent
+blocks (the connected components of the row/column graph), and all three
+steps run per block.
 The upper bound is min(shape) or d_i - r_prev where the lower bound
 meets one of them; elsewhere it comes from a kernel computed mod p,
 lifted to Q by CRT and rational reconstruction, and checked exactly.
@@ -169,11 +171,12 @@ class SubspaceW:
     """A k-dimensional subspace of V given by k independent basis columns.
 
     Each column has length q and exact rational coordinates in the
-    v_a basis of V.  Independence is checked by Bareiss elimination on
-    the columns with their common denominator cleared, in Python ints.
+    v_a basis of V.  Independence is checked by the Gauss-Jordan
+    elimination of :func:`_gauss_jordan`, whose result the instance keeps
+    for :meth:`echelon`: a W is eliminated once.
     """
 
-    __slots__ = ("q", "k", "columns")
+    __slots__ = ("q", "k", "columns", "_reduced")
 
     def __init__(self, columns: Sequence[Sequence]):
         cols = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in col)
@@ -186,9 +189,8 @@ class SubspaceW:
         self.q = q
         self.k = len(cols)
         self.columns = cols
-        mult = lcm(*(x.denominator for col in cols for x in col))
-        ints = [[x.numerator * (mult // x.denominator) for x in col] for col in cols]
-        if self.k > q or rank_exact(ints) != self.k:
+        self._reduced = _gauss_jordan(cols)
+        if len(self._reduced[1]) != self.k:
             raise ValueError("basis columns are linearly dependent")
 
     @classmethod
@@ -214,42 +216,24 @@ class SubspaceW:
     def echelon(self) -> "SubspaceW":
         """The same subspace in its reduced column-echelon basis.
 
-        Gauss-Jordan elimination, in Python ints, on the k x q matrix
-        whose rows are the basis columns with their common denominator
-        cleared; each row is kept primitive and divided by its pivot at
-        the end.  The pivots are the first k coordinates at which the
-        rows of W are independent, and column s of the result is 1 at
-        its own pivot and 0 before it and at every other pivot, so the
-        result depends on span(W) only.  By Cramer's rule each entry is
-        a ratio of k x k minors of W, over the minor at the pivots.
+        Read from the elimination the constructor ran (see
+        :func:`_gauss_jordan`): column s of the result is row s divided by
+        its entry at its pivot, so it is 1 at its own pivot and 0 before it
+        and at every other pivot, and the result depends on span(W) only.
+        By Cramer's rule each entry is a ratio of k x k minors of W, over
+        the minor at the pivots.
         """
-        mult = lcm(*(x.denominator for col in self.columns for x in col))
-        rows = [[x.numerator * (mult // x.denominator) for x in col] for col in self.columns]
-        pivots = []
-        for a in range(self.q):
-            s = len(pivots)
-            t = next((t for t in range(s, self.k) if rows[t][a]), None)
-            if t is None:
-                continue
-            rows[s], rows[t] = rows[t], rows[s]
-            top = rows[s]
-            for u, row in enumerate(rows):
-                f = row[a]
-                if f and u != s:
-                    row = [top[a] * x - f * y for x, y in zip(row, top)]
-                    g = gcd(*row) or 1  # a zero row: too few pivots, refused below
-                    rows[u] = [x // g for x in row]
-            pivots.append(a)
-            if s + 1 == self.k:
-                break
+        # a W forged past the constructor has no elimination yet
+        rows, pivots = getattr(self, "_reduced", None) or _gauss_jordan(self.columns)
         if len(pivots) != self.k:
             raise RuntimeError(f"echelon found {len(pivots)} pivots for {self.k} independent columns")
         # k pivots make the rows independent, so the constructor's
-        # conversion and rank check are not run again
+        # conversion and elimination are not run again
         out = SubspaceW.__new__(SubspaceW)
         out.q, out.k = self.q, self.k
         out.columns = tuple(tuple(Fraction(x, row[a]) for x in row)
                             for row, a in zip(rows, pivots))
+        out._reduced = rows, pivots
         return out
 
     def to_json(self) -> dict:
@@ -258,6 +242,37 @@ class SubspaceW:
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubspaceW":
         return cls(obj["columns"])
+
+
+def _gauss_jordan(columns) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination, in Python ints, of the matrix whose rows
+    are columns with their common denominator cleared.
+
+    Returns (rows, pivots).  pivots are the first coordinates at which
+    the rows are independent, as many as their rank, and rows[s] is 0
+    at every pivot but pivots[s]; each row is kept primitive.
+    """
+    mult = lcm(*(x.denominator for col in columns for x in col))
+    rows = [[x.numerator * (mult // x.denominator) for x in col] for col in columns]
+    k = len(rows)
+    pivots = []
+    for a in range(len(rows[0])):
+        s = len(pivots)
+        t = next((t for t in range(s, k) if rows[t][a]), None)
+        if t is None:
+            continue
+        rows[s], rows[t] = rows[t], rows[s]
+        top = rows[s]
+        for u, row in enumerate(rows):
+            f = row[a]
+            if f and u != s:
+                row = [top[a] * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1  # a zero row: the rows are dependent
+                rows[u] = [x // g for x in row]
+        pivots.append(a)
+        if s + 1 == k:
+            break
+    return rows, pivots
 
 
 class HodgeDatum:
@@ -897,13 +912,25 @@ def _sum_over_blocks(mat: Csr, block_rank) -> int:
 def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
     """Lower bound for rank(mat) over F_p, hence over Q, capped at needed.
 
-    The sum over the independent blocks of :func:`_block_rank_lb`, with
-    needed capped at each block's smaller side.  Each block tries the
-    structural pivots of its rows, then those of its columns, then a
-    dense modular rank of itself or of a Schur complement, each only
-    when the one before falls short; where the sum still falls short,
-    the walk ranks mat by the lifted kernels of :func:`_rank_exact_csr`.
-    Whenever no block is projected the result is min(needed, rank_p(mat)).
+    First the structural pivots of the whole map: its row pivots, then
+    its column pivots (steps 1 and 2 of :func:`_block_rank_lb`).  When
+    either count reaches needed, that is the result.  Otherwise it is
+    the sum over the independent blocks of :func:`_block_rank_lb`, with
+    needed capped at each block's smaller side, and where that sum still
+    falls short the walk ranks mat by the lifted kernels of
+    :func:`_rank_exact_csr`.  Whenever no block is projected the result
+    is min(needed, rank_p(mat)).
+
+    The whole map settles what its blocks would: a block keeps its rows,
+    columns and entries in order, and each row and each column belongs
+    to at most one block, so the whole map's row-pivot count is the sum
+    of its blocks' counts, and so is its column-pivot count.  Every
+    block bound is at least the block's row-pivot count, so the block
+    sum reaches needed whenever the whole map's row count does.  It is
+    also at least the block's column-pivot count unless a projection in
+    :func:`_schur_rank_lb` lost rank; only then can the column count
+    settle a map that the blocks would not, with a bound that is still
+    a lower bound.
     """
     (m, n), indptr, indices, data = mat
     flat = np.repeat(np.arange(m), np.diff(indptr)) * n + indices
@@ -911,6 +938,9 @@ def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
         # a row's first stored entry is taken as its leading one, which
         # needs sorted column indices and summed duplicates
         mat = _canonical_csr((m, n), [flat], [data])
+    live = mat.data % p != 0
+    if len(_structural_pivots(mat, live)[0]) >= needed or _column_pivot_count(mat, live) >= needed:
+        return needed
     total = _sum_over_blocks(mat, lambda b: _block_rank_lb(b, p, min(needed, *b.shape)))
     return min(needed, total)
 
@@ -926,7 +956,9 @@ def _block_rank_lb(block: Csr, p: int, needed: int) -> int:
     2. The structural pivots of the columns,
        :func:`_column_pivot_count`.  Both counts need no arithmetic,
        read one mask of the entries nonzero mod p, and are lower bounds
-       for rank_p.
+       for rank_p.  :func:`_cert_rank_lb` has already run them on the
+       whole map, which fell short; here they run again on the block,
+       aimed at the block's own needed.
     3. For a block no longer than needed + 32 on either side, a dense
        :func:`rank_mod` of the block.
     4. Otherwise the Schur complement S of the k row pivots:

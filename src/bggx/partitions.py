@@ -55,15 +55,6 @@ def contains(lam, mu) -> bool:
     return all(a >= b for a, b in zip(lam, mu))
 
 
-def strictly_bigger(lam, mu) -> bool:
-    """Partial order: lam_i >= mu_i for all i with at least one strict inequality.
-
-    Incomparable pairs simply return False here; use contains() both ways to
-    detect incomparability.
-    """
-    return contains(lam, mu) and normalize(lam) != normalize(mu)
-
-
 def conjugate(lam) -> tuple[int, ...]:
     lam = normalize(lam)
     if not lam:

@@ -14,6 +14,7 @@ from math import comb, prod
 
 import pytest
 
+from bggx import bgg
 from bggx.bgg import (
     chern_F,
     chern_G_coeffs,
@@ -27,7 +28,7 @@ from bggx.bgg import (
 )
 from bggx.bounds import c2_bound
 from bggx.coefpoly import CoefPoly, hq_poly
-from bggx.partitions import box_partitions
+from bggx.partitions import box_partitions, contains
 from bggx.schur import grassmannian, stable
 from bggx.series import GradedSeries, chern_S, invert, substitute, sym_power_chern
 
@@ -129,6 +130,27 @@ def test_conjecture_boundary_q_eq_k_plus_1():
         assert r.status in ("WARN", "FAIL")
         # frozen expectation: these boundary cells do hold
         assert r.passed and r.status == "WARN"
+
+
+def test_offending_partitions_come_in_box_order(monkeypatch):
+    # no real cell has an offending coefficient: feed verify_conjecture a
+    # c(F) whose terms cover the box in shuffled order, a third of them 0
+    rng = random.Random(7)
+    for k, q in ((2, 6), (3, 8), (4, 9)):
+        box = list(box_partitions(k, q - k))
+        coeffs = {lam: rng.choice((0, 1, -2)) for lam in rng.sample(box, len(box))}
+
+        class Stub:
+            def terms(self):
+                return coeffs
+
+        monkeypatch.setattr(bgg, "chern_F", lambda k, q: Stub())
+        mu = mu_partition(k, q)
+        want = [(lam, coeffs[lam]) for lam in box
+                if coeffs[lam] and lam != mu and contains(lam, mu)]
+        got = verify_conjecture(k, q)
+        assert list(got.offending) == want and want
+        assert got.above_mu_all_zero is False
 
 
 def test_conjecture_report_json_round():

@@ -672,6 +672,7 @@ def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
 
     recording("rank_mod")
     recording("_schur_rank_lb")
+    recording("_independent_blocks")
     p = MOD_PRIMES[0]
     rng = np.random.default_rng(11)
     # 40 rows leading at distinct columns and 50 combinations of them,
@@ -690,11 +691,80 @@ def test_pinned_block_makes_no_rank_mod_call(monkeypatch):
         assert rank_exact(block) == rank
         assert complexes._cert_rank_lb(mat, p, rank) == rank
         assert not calls
+    # several blocks interleaved with empty rows and columns: the whole
+    # map's row pivots pin the sum of the ranks before any split, and its
+    # transpose is pinned by the whole map's column pivots
+    triangle = np.triu(rng.integers(1, 4, size=(7, 7)))[rng.permutation(7)]
+    mixed = _interleaved_blocks(rng, [tall, small, triangle, small], 6, 4)
+    dense = _scipy(mixed).toarray()
+    for mat, by_rows in ((mixed, True), (_csr(dense.T), False)):
+        arrays = (mat.shape, mat.indptr, mat.indices, mat.data)
+        row_pivots = complexes._structural_pivots(arrays, mat.data % p != 0)[0]
+        assert (len(row_pivots) == 57) == by_rows
+        assert rank_exact(dense) == 57
+        assert complexes._cert_rank_lb(mat, p, 57) == 57
+        assert not calls
     # a leading entry divisible by p hides its pivot on both sides:
-    # ranked mod p again
+    # split, and ranked mod p again
     small[np.flatnonzero(small[:, 0])[0], 0] = p
     assert complexes._cert_rank_lb(_csr(small), p, 5) == rank_mod(small, p)
-    assert calls == [("rank_mod", (5, 5))]
+    assert calls == [("_independent_blocks", (5, 5)), ("rank_mod", (5, 5))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from((7, MOD_PRIMES[0])),
+    kinds=st.lists(
+        st.tuples(
+            st.sampled_from(("product", "rows", "columns", "zero")),
+            st.integers(1, 64),
+            st.integers(1, 12),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    empty_rows=st.integers(0, 3),
+    empty_cols=st.integers(0, 3),
+    reverse=st.booleans(),
+)
+def test_whole_map_pivots_settle_what_the_blocks_would(
+    seed, p, kinds, empty_rows, empty_cols, reverse
+):
+    # blocks pinned by their row pivots ("rows": loose echelon rows),
+    # by their column pivots (the transpose), or by neither; a block more
+    # than 32 longer than the rank sought takes the Schur step
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for kind, long_side, short_side in kinds:
+        if kind == "product":
+            blocks.append(_block(rng, long_side, short_side, int(rng.integers(0, short_side + 1))))
+        elif kind == "zero":
+            blocks.append(np.zeros((short_side, long_side), dtype=np.int64))
+        else:
+            rows = _staircase(rng, short_side, long_side, p, 0.15)
+            blocks.append(rows if kind == "rows" else rows.T)
+    mat = _interleaved_blocks(rng, blocks, empty_rows, empty_cols)
+    rank = sum(rank_exact(b) for b in blocks if b.any())
+    parts = complexes._independent_blocks(mat)
+
+    def pivot_counts(m):
+        live = m.data % p != 0
+        return len(complexes._structural_pivots(m, live)[0]), complexes._column_pivot_count(m, live)
+
+    counts = [pivot_counts(b) for b in parts]
+    assert pivot_counts(mat) == (sum(r for r, _ in counts), sum(c for _, c in counts))
+
+    @functools.lru_cache(maxsize=None)
+    def block_bound(x, needed):
+        return complexes._block_rank_lb(parts[x], p, needed)
+
+    if reverse:
+        mat = _reversed_rows(mat)
+    for needed in range(rank + 41):
+        # the bound before the whole map was counted: block by block
+        want = min(needed, sum(block_bound(x, min(needed, *b.shape)) for x, b in enumerate(parts)))
+        assert complexes._cert_rank_lb(mat, p, needed) == want, needed
 
 
 def test_schur_complement_is_refused_past_the_dense_limit(monkeypatch):
