@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Mapping, NamedTuple, Sequence
 
-from .complexes import whole_number
+from .inputs import whole_number
 
 
 def binomial(a: int, b: int) -> int:

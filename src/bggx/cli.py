@@ -30,11 +30,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
-from . import bgg, bounds, complexes, models, schur, series
-from .complexes import DataError
-from .coefpoly import hq_poly
+from . import anchors, bgg, bounds, complexes, models, schur, series
+from .anchors import DEFAULT_SEED
+from .inputs import DataError
 from .partitions import format_partition, parse_partition
 
 EXIT_PASS = 0
@@ -42,8 +41,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-DEFAULT_SEED = 20260819
 
 
 @dataclass
@@ -428,38 +425,14 @@ def _cmd_complex_check(args) -> RunReport:
     )
 
 
-_CURVES_E2 = {(1, 0): 3, (1, 1): 18, (0, 2): 37}
-_CURVES_HYPER = (0, 3, 55, 0, 0)
-
-
-def _curves_table_and_failures() -> tuple:
-    datum, W = models.curves_product_model()
-    table = complexes.e2_table(datum, W, 2)
-    failures = []
-    for (i, j), expected in sorted(_CURVES_E2.items()):
-        got = table.entries[i][j]
-        if got != expected:
-            failures.append(f"curves e[{i}][{j}] = {got}, expected {expected}")
-    if table.hyper != _CURVES_HYPER:
-        failures.append(
-            f"curves hypercohomology = {table.hyper}, expected {_CURVES_HYPER}"
-        )
-    return datum, W, table, failures
-
-
 def _cmd_example_curves(args) -> RunReport:
-    datum, W, table, failures = _curves_table_and_failures()
+    datum, W, table = anchors.curves_table()
+    failures = anchors.curves_failures(table)
     status = "FAIL" if failures else "PASS"
-    lines = _e2_lines(table)
-    for (i, j), expected in sorted(_CURVES_E2.items()):
-        got = table.entries[i][j]
-        verdict = "PASS" if got == expected else "FAIL"
-        lines.append(f"anchor e[{i}][{j}] = {got} (expected {expected}): {verdict}")
-    hyper_ok = table.hyper == _CURVES_HYPER
-    lines.append(
-        f"anchor hypercohomology {table.hyper}"
-        f" (expected {_CURVES_HYPER}): {'PASS' if hyper_ok else 'FAIL'}"
-    )
+    lines = _e2_lines(table) + [
+        f"anchor {name} = {got} (expected {pinned}): {'PASS' if got == pinned else 'FAIL'}"
+        for name, got, pinned in anchors.curves_anchors(table)
+    ]
     if args.emit_datum:
         _write_json_file(args.emit_datum, datum.to_json())
         lines.append(f"datum written to {args.emit_datum}")
@@ -500,19 +473,8 @@ def _cmd_model_abelian(args) -> RunReport:
     )
 
 
-def _combin_failures(limit: int) -> tuple[int, list[str]]:
-    checked = 0
-    failures = []
-    for a in range(limit + 1):
-        for b in range(limit + 1):
-            checked += 1
-            if bounds.combin_identity(a, b) != (1 if b == 0 else 0):
-                failures.append(f"combin identity (A={a}, B={b})")
-    return checked, failures
-
-
 def _cmd_identity_combin(args) -> RunReport:
-    checked, failures = _combin_failures(args.max)
+    checked, failures = anchors.combin_failures(args.max)
     status = "FAIL" if failures else "PASS"
     return RunReport(
         command="identity combin",
@@ -526,59 +488,6 @@ def _cmd_identity_combin(args) -> RunReport:
         ]
         + [f"  {f}" for f in failures],
     )
-
-
-def _g_poly_failures() -> list[str]:
-    h, _ = hq_poly()
-    failures = []
-    for k in range(1, 7):
-        table = bgg.chern_G_coeffs(k, 2)
-        if table.g((1,)) != bgg.g1_closed(k):
-            failures.append(f"g_1 closed form, k={k}")
-        if table.g((2,)) != bgg.g2_closed(k):
-            failures.append(f"g_2 closed form, k={k}")
-        ring11 = table.g((1, 1))
-        # rank 1 has no two-row classes; the ring coefficient is zero there
-        closed_ok = ring11 == bgg.g11_closed(k) if k >= 2 else ring11 == 0
-        if not closed_ok:
-            failures.append(f"g_11 closed form, k={k}")
-        center = bgg.g11_roots(k)
-        beta_plus = center + Fraction(1, 2)
-        beta_minus = center - Fraction(1, 2)
-        product = (h - beta_plus) * (h - beta_minus) * Fraction(1, 2)
-        if beta_plus - beta_minus != 1 or product != bgg.g11_closed(k):
-            failures.append(f"g_11 factorization, k={k}")
-    return failures
-
-
-def _bound_identity_failures() -> list[str]:
-    failures = []
-    for d in range(1, 11):
-        for q in range(41):
-            t11 = bounds.thm11_bound(d, q)
-            if t11.value != t11.family_max:
-                failures.append(f"piecewise h20 vs family max (d={d}, q={q})")
-    for q in range(1, 31):
-        for k in range(1, q + 1):
-            c2 = bounds.c2_bound(q, k)
-            if c2.applicable != (k <= q - 2):
-                failures.append(f"second-Chern applicability (q={q}, k={k})")
-            if c2.applicable and (c2.min_h > bounds.c1_bound(q, k)) != (c2.radicand > 1):
-                failures.append(f"second-Chern threshold (q={q}, k={k})")
-    for q in range(1, 7):
-        for j in range(q + 1):
-            hrow = [comb(q, i) * comb(q, j) for i in range(q + 1)]
-            for k in range(1, q + 1):
-                for p in range(min(k, q) + 1):
-                    total = sum(
-                        comb(k, p - i) * bounds.alternating_sum(hrow, i, k, i)
-                        for i in range(p + 1)
-                    )
-                    if total != hrow[p]:
-                        failures.append(
-                            f"corollary chain (q={q}, j={j}, k={k}, p={p})"
-                        )
-    return failures
 
 
 def _cmd_repro(args) -> RunReport:
@@ -598,21 +507,20 @@ def _cmd_repro(args) -> RunReport:
         failures.extend(section_failures)
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
-    cells = [(k, q) for k in (2, 3, 4) for q in range(k + 1, 13)]
-    reports = _pmap(_conjecture_cell, cells, args.jobs)
+    reports = _pmap(_conjecture_cell, anchors.CONJECTURE_CELLS, args.jobs)
     record(
         "conjecture sweep",
         f"{len(reports)} cells, k=2..4, q<=12",
         [f"conjecture sweep (k={r.k}, q={r.q})" for r in reports if not r.passed],
     )
 
-    record("g polynomials", "closed forms and factorization, k=1..6", _g_poly_failures())
+    record("g polynomials", "closed forms and factorization, k=1..6", anchors.g_poly_failures())
 
-    _, _, table, curve_failures = _curves_table_and_failures()
+    _, _, table = anchors.curves_table()
     record(
         "curves product example",
         f"nonzero e2 {table.nonzero()}, hyper {table.hyper}",
-        curve_failures,
+        anchors.curves_failures(table),
     )
 
     battery = models.theorem_battery(
@@ -628,10 +536,10 @@ def _cmd_repro(args) -> RunReport:
         ],
     )
 
-    checked, combin_fails = _combin_failures(30)
+    checked, combin_fails = anchors.combin_failures(30)
     record("combin identity sweep", f"{checked} pairs, A,B <= 30", combin_fails)
 
-    record("bound identities", "piecewise/family, Chern thresholds, corollary chain", _bound_identity_failures())
+    record("bound identities", "piecewise/family, Chern thresholds, corollary chain", anchors.bound_identity_failures())
 
     status = "FAIL" if failures else "PASS"
     lines.append(f"seed: {seed}")

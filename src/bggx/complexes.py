@@ -45,6 +45,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .inputs import DataError, whole_number
 from .ratlinalg import (
     LIFT_PRIMES,
     MOD_PRIMES,
@@ -53,10 +54,6 @@ from .ratlinalg import (
     rational_reconstruction,
     rref_mod,
 )
-
-
-class DataError(ValueError):
-    """Malformed or inconsistent input data (as opposed to usage errors)."""
 
 
 class Csr(NamedTuple):
@@ -77,14 +74,6 @@ class Csr(NamedTuple):
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-
-def whole_number(x) -> int:
-    """x as an int, never truncated: 2 and 2.0 give 2, but 1.9 is a DataError,
-    and so is a bool (JSON true/false), which Python would read as 1/0."""
-    if isinstance(x, bool) or (type(x) is not int and int(x) != Fraction(x)):
-        raise DataError(f"{x!r} is not an integer")
-    return int(x)
 
 
 def _exact_entry(x) -> Fraction:
@@ -198,12 +187,11 @@ class SubspaceW:
         return cls([[1 if a == t else 0 for a in range(q)] for t in range(q)])
 
     def times(self, g: Sequence[Sequence]) -> "SubspaceW":
-        """Replace the basis by W.g for an invertible k x k matrix g."""
+        """Replace the basis by W.g for an invertible k x k matrix g; W.g has
+        rank k exactly when g is invertible, so the constructor refuses a singular g."""
         rows = [[Fraction(x) for x in row] for row in g]
         if len(rows) != self.k or any(len(r) != self.k for r in rows):
             raise ValueError("basis change must be k x k")
-        if rank_exact(rows) != self.k:
-            raise ValueError("singular basis change")
         new_cols = [
             [
                 sum((self.columns[t][a] * rows[t][s] for t in range(self.k)), Fraction(0))

@@ -93,6 +93,15 @@ def abelian_model(q: int) -> HodgeDatum:
     (see _wedge_order).  There v_a acts by left exterior multiplication
     on the first factor (Koszul sign = parity of the number of indices
     in the monomial smaller than a) and by the identity on the second.
+
+    Over any k-dimensional W, the complex (r, j) has homology C(q, j)
+    C(q - k, r) at position r and 0 elsewhere.  Column j is C(q, j) copies
+    of column 0, and with V = W (+) U each term Sym^{r-i} W (x) Lambda^i V
+    splits as the sum over b of Lambda^b U (x) Sym^{r-i} W (x)
+    Lambda^{i-b} W, the differential acting on the W factors only.  So the
+    complex is the sum over b of Lambda^b U (x) the degree-(r - b) Koszul
+    complex of W, shifted by b; in characteristic 0 that is exact in every
+    positive degree, which leaves Lambda^r U at position r.
     """
     if q < 1:
         raise ValueError("need q >= 1")
@@ -187,7 +196,8 @@ class BatteryReport:
 def theorem_battery(
     q_values: Sequence[int] = (2, 3, 4, 5, 6),
     n_w: int = 20,
-    seed: int = 20260819,
+    *,
+    seed: int,
     include_full_space: bool = True,
 ) -> BatteryReport:
     """Exactness-prefix sweep over abelian models.

@@ -186,9 +186,10 @@ def test_k6_k7_conjecture_reports_match_recorded_digest():
 
 
 def test_chern_layers_import_without_numpy_or_scipy():
-    # the Schubert and Chern layers run in Python ints; numpy and scipy are
-    # the rank engine's, and importing them would cost every chern command
-    code = ("import sys, bggx.bgg, bggx.schur, bggx.series; "
+    # the Schubert, Chern and bounds layers run in Python ints; numpy and
+    # scipy are the rank engine's, and importing them would cost every
+    # chern and bounds command
+    code = ("import sys, bggx.bgg, bggx.bounds, bggx.schur, bggx.series; "
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -296,12 +296,27 @@ def test_repro_with_an_empty_battery_exits_2(capsys):
     assert "error:" in err and "--q-max 1" in err
 
 
-def test_repro_names_tampered_anchor(monkeypatch, capsys):
-    monkeypatch.setattr(cli.bgg, "g2_closed", lambda k: cli.bgg.g1_closed(k))
-    code, out, _ = run(capsys, "repro", "--q-max", "2", "--n-w", "1")
-    assert code == 1
-    assert "g_2 closed form, k=1" in out
-    assert "status: FAIL" in out
+_REPRO_Q2 = ("repro", "--q-max", "2", "--n-w", "1")
+
+
+@pytest.mark.parametrize(
+    "module, name, value, commands, anchor",
+    [
+        pytest.param("bgg", "g2_closed", lambda k: cli.bgg.g1_closed(k), [_REPRO_Q2],
+                     "g_2 closed form, k=1", id="g2_closed"),
+        # one table drives both commands that check the curves anchors
+        pytest.param("anchors", "CURVES_HYPER", (0, 3, 56, 0, 0),
+                     [_REPRO_Q2, ("example", "curves")],
+                     "hypercohomology = (0, 3, 55, 0, 0)", id="curves_hyper"),
+    ],
+)
+def test_repro_names_tampered_anchor(monkeypatch, capsys, module, name, value, commands, anchor):
+    monkeypatch.setattr(getattr(cli, module), name, value)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert anchor in out
+        assert "status: FAIL" in out
 
 
 @pytest.mark.parametrize("fault", [RuntimeError("rank bookkeeping bug"), ZeroDivisionError("division by zero")])

@@ -449,22 +449,23 @@ def test_summands_that_differ_in_sign_are_not_merged():
     assert homology_dims(build_complex(lone, W, 1, 1)) == (1, 0)
 
 
-def test_homology_over_coordinate_random_and_echelon_w_agree():
-    # GL(V) acts on the abelian datum and carries every k-dimensional W
-    # to W_k = span(e_1..e_k): the homology depends on (q, k, r, j) only.
-    # W_k gives +-1 entries in many small blocks, a random W dense
-    # rational maps, and its echelon basis the same span once more
+def test_abelian_homology_matches_its_koszul_closed_form():
+    # C(q, j) C(q - k, r) at position r and 0 elsewhere, over every
+    # k-dimensional W (see abelian_model).  W_k gives +-1 entries in many
+    # small blocks, a random W dense rational maps, and its echelon basis
+    # the same span once more
     rng = random.Random(20261020)
-    for q in (2, 3, 4, 5):
+    for q in (1, 2, 3, 4, 5):
         dat = abelian_model(q)
         for k in range(1, q + 1):
             spaces = [SubspaceW([[int(a == t) for a in range(q)] for t in range(k)])]
             for _ in range(2):
                 W = random_subspace(q, k, rng)
                 spaces += [W, W.echelon()]
-            for r, j in itertools.product(range(1, q + 1), range(q + 1)):
-                dims = {homology_dims(build_complex(dat, W, r, j)) for W in spaces}
-                assert len(dims) == 1, (q, k, r, j, dims)
+            for r, j in itertools.product(range(1, q + 2), range(q + 1)):
+                expected = tuple(comb(q, j) * comb(q - k, r) * (i == r) for i in range(min(r, q) + 1))
+                for W in spaces:
+                    assert homology_dims(build_complex(dat, W, r, j)) == expected, (q, k, r, j, W.columns)
 
 
 def test_composition_check_is_exact_past_int64():
