@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from .bounds import conjecture_rank_bound
 from .coefpoly import CoefPoly, hq_poly
 from .partitions import contains
 from .schur import SchubertExpr, grassmannian, stable
@@ -39,13 +40,6 @@ def mu_partition(k: int, q: int) -> tuple[int, ...]:
             break
         parts.append(p)
     return tuple(parts)
-
-
-def rank_lower_bound(k: int, q: int) -> int:
-    """Codimension of sigma_mu: binom(q-k,2) for q <= 2k, k(2q-3k-1)/2 above."""
-    if q <= 2 * k:
-        return comb(q - k, 2)
-    return k * (2 * q - 3 * k - 1) // 2
 
 
 def chern_F(k: int, q: int) -> GradedSeries:
@@ -159,7 +153,7 @@ def verify_conjecture(k: int, q: int) -> ConjectureReport:
         above_mu_all_zero=not offending,
         offending=tuple(offending),
         codim_mu=sum(mu),
-        rank_lower_bound=rank_lower_bound(k, q),
+        rank_lower_bound=conjecture_rank_bound(q, k).rank_bound,
         boundary=(q == k + 1),
     )
 

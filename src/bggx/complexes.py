@@ -371,7 +371,41 @@ class HodgeDatum:
         M_a (x) 1; a form v_b of the second, numbered self.q + b, acts as
         (-1)^(i1 + j1) 1 (x) M_b.  The metadata is left empty.
         """
-        return _kunneth(self, other)
+        d = self.d + other.d
+        dims = [[0] * (d + 1) for _ in range(d + 1)]
+        pieces1 = list(itertools.product(range(self.d + 1), repeat=2))
+        pieces2 = list(itertools.product(range(other.d + 1), repeat=2))
+        offset = {}  # (I, J, i1, j1) -> first position of that block in piece (I, J)
+        for (i1, j1), (i2, j2) in itertools.product(pieces1, pieces2):
+            offset[(i1 + i2, j1 + j2, i1, j1)] = dims[i1 + i2][j1 + j2]
+            dims[i1 + i2][j1 + j2] += self.dims[i1][j1] * other.dims[i2][j2]
+        entries: dict[tuple[int, int, int], dict] = {}
+
+        for (a, i1, j1), mat in self.action.items():
+            for i2, j2 in pieces2:
+                I, J, n2 = i1 + i2, j1 + j2, other.dims[i2][j2]
+                src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1 + 1, j1)]
+                out = entries.setdefault((a, I, J), {})
+                for (r, c), v in mat.entries.items():
+                    for s in range(n2):
+                        out[(dst + r * n2 + s, src + c * n2 + s)] = v
+
+        for (b, i2, j2), mat in other.action.items():
+            values = [(r, c, (v, -v)) for (r, c), v in mat.entries.items()]
+            n2, m2 = other.dims[i2][j2], other.dims[i2 + 1][j2]
+            for i1, j1 in pieces1:
+                I, J, koszul = i1 + i2, j1 + j2, (i1 + j1) % 2
+                src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1, j1)]
+                out = entries.setdefault((self.q + b, I, J), {})
+                for r, c, pm in values:
+                    for s in range(self.dims[i1][j1]):
+                        out[(dst + s * m2 + r, src + s * n2 + c)] = pm[koszul]
+
+        action = {}
+        for (a, I, J), ent in entries.items():
+            action[(a, I, J)] = mat = SparseRat((dims[I + 1][J], dims[I][J]))
+            mat.entries = ent  # nonzero factor entries up to sign, at positions in range
+        return HodgeDatum(d, self.q + other.q, dims, action)
 
     def to_json(self) -> dict:
         action = []
@@ -497,58 +531,6 @@ def _equal_components(sizes, a_, i_, rows, cols, vals):
     if (table != table[:, :1]).any():
         return None
     return count, per[0].tolist(), e_comp == 0, lr, lc
-
-
-def _kunneth(first: HodgeDatum, second: HodgeDatum, order=None) -> HodgeDatum:
-    """first.tensor(second), written straight into another basis if asked:
-    order maps each piece (I, J) to lists (pos, neg), and the vector at
-    position x of the Kunneth order becomes vector pos[x] of the result,
-    negated when neg[x] is 1.
-    """
-    d = first.d + second.d
-    dims = [[0] * (d + 1) for _ in range(d + 1)]
-    pieces1 = list(itertools.product(range(first.d + 1), repeat=2))
-    pieces2 = list(itertools.product(range(second.d + 1), repeat=2))
-    offset = {}  # (I, J, i1, j1) -> first position of that block in piece (I, J)
-    for (i1, j1), (i2, j2) in itertools.product(pieces1, pieces2):
-        offset[(i1 + i2, j1 + j2, i1, j1)] = dims[i1 + i2][j1 + j2]
-        dims[i1 + i2][j1 + j2] += first.dims[i1][j1] * second.dims[i2][j2]
-    if order is None:
-        order = {
-            (I, J): (range(n), [0] * n) for I, row in enumerate(dims) for J, n in enumerate(row)
-        }
-    entries: dict[tuple[int, int, int], dict] = {}
-
-    for (a, i1, j1), mat in first.action.items():
-        values = [(r, c, (v, -v)) for (r, c), v in mat.entries.items()]
-        for i2, j2 in pieces2:
-            I, J, n2 = i1 + i2, j1 + j2, second.dims[i2][j2]
-            src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1 + 1, j1)]
-            (pr, nr), (pc, nc) = order[(I + 1, J)], order[(I, J)]
-            out = entries.setdefault((a, I, J), {})
-            for r, c, pm in values:
-                for s in range(n2):
-                    x, y = dst + r * n2 + s, src + c * n2 + s
-                    out[(pr[x], pc[y])] = pm[nr[x] ^ nc[y]]
-
-    for (b, i2, j2), mat in second.action.items():
-        values = [(r, c, (v, -v)) for (r, c), v in mat.entries.items()]
-        n2, m2 = second.dims[i2][j2], second.dims[i2 + 1][j2]
-        for i1, j1 in pieces1:
-            I, J, koszul = i1 + i2, j1 + j2, (i1 + j1) % 2
-            src, dst = offset[(I, J, i1, j1)], offset[(I + 1, J, i1, j1)]
-            (pr, nr), (pc, nc) = order[(I + 1, J)], order[(I, J)]
-            out = entries.setdefault((first.q + b, I, J), {})
-            for r, c, pm in values:
-                for s in range(first.dims[i1][j1]):
-                    x, y = dst + s * m2 + r, src + s * n2 + c
-                    out[(pr[x], pc[y])] = pm[koszul ^ nr[x] ^ nc[y]]
-
-    action = {}
-    for (a, I, J), ent in entries.items():
-        action[(a, I, J)] = mat = SparseRat((dims[I + 1][J], dims[I][J]))
-        mat.entries = ent  # nonzero factor entries up to sign, at positions in range
-    return HodgeDatum(d, first.q + second.q, dims, action)
 
 
 def _sym_basis(k: int, m: int) -> list[tuple[int, ...]]:
@@ -906,8 +888,9 @@ def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
     the sum over the independent blocks of :func:`_block_rank_lb`, with
     needed capped at each block's smaller side, and where that sum still
     falls short the walk ranks mat by the lifted kernels of
-    :func:`_rank_exact_csr`.  Whenever no block is projected the result
-    is min(needed, rank_p(mat)).
+    :func:`_rank_exact_csr`.  Whenever no block's Schur complement has
+    its columns projected (see :func:`_schur_rank_lb`) the result is
+    min(needed, rank_p(mat)).
 
     The whole map settles what its blocks would: a block keeps its rows,
     columns and entries in order, and each row and each column belongs
@@ -915,10 +898,10 @@ def _cert_rank_lb(mat: Csr, p: int, needed: int) -> int:
     of its blocks' counts, and so is its column-pivot count.  Every
     block bound is at least the block's row-pivot count, so the block
     sum reaches needed whenever the whole map's row count does.  It is
-    also at least the block's column-pivot count unless a projection in
-    :func:`_schur_rank_lb` lost rank; only then can the column count
-    settle a map that the blocks would not, with a bound that is still
-    a lower bound.
+    also at least the block's column-pivot count unless the column
+    projection in :func:`_schur_rank_lb` lost rank; only then can the
+    column count settle a map that the blocks would not, with a bound
+    that is still a lower bound.
     """
     (m, n), indptr, indices, data = mat
     flat = np.repeat(np.arange(m), np.diff(indptr)) * n + indices
@@ -1016,39 +999,33 @@ def _schur_rank_lb(block: Csr, p: int, needed: int, piv_rows, piv_cols) -> int:
     remainder.  Then S = D - C A^{-1} B and, A being invertible mod p,
     rank_p(block) = k + rank_p(S) (Guttman's rank additivity).
 
-    A side of S longer than needed + 32 is compressed by a random
-    projection with coefficients in [0, 4), the low two bits of bytes
-    from a generator seeded by the shape, which can only lose rank;
-    the column projection h is applied to B and D before the solve, so
-    only X = A^{-1} (B h) and S h are formed, and a row projection g
-    then takes g (S h).  A X = B is solved by level scheduling: a pivot
+    When S has more than needed + 32 columns, a random projection h
+    with coefficients in [0, 4), the low two bits of bytes from a
+    generator seeded by the shape, compresses them to needed + 16; it can
+    only lose rank.  h is applied to B and D before the solve, so only
+    X = A^{-1} (B h) and S h are formed, and :func:`rank_mod` ranks S h
+    (or S) whole.  A X = B is solved by level scheduling: a pivot
     whose row of A is diagonal has level 0, any other one more than the
     highest level its row reaches, so the rows of a level depend only on
     lower levels and each level is one CSR slice times the dense X
     (:func:`_csr_dot`).
 
     Every product is exact.  The int64 ones (B h, the level products and
-    C X) sum at most max(m, n) terms below p**2 each, and the float64 row
-    projection at most m terms below 3p; the check below keeps the first
-    under 2**62 and the second under 2**53, which for MOD_PRIMES allows
-    2**24 rows or columns.  The dense arrays (B and D stacked, then X
-    and S in the same room) are refused past _DENSE_RANK_LIMIT entries.
+    C X) sum at most max(m, n) terms below p**2 each; the check below
+    keeps them under 2**62, which for MOD_PRIMES allows 2**24 rows or
+    columns.  The only floating-point arithmetic is rank_mod's, inside
+    its own budget.  The dense arrays (B and D stacked, then X and S in
+    the same room) are refused past _DENSE_RANK_LIMIT entries.
     """
     shape, indptr, indices, data = block
     m, n = shape
-    if max(m, n) * p * p >= 2**62 or 3 * m * p >= 2**53:
+    if max(m, n) * p * p >= 2**62:
         raise ValueError("modulus too large for the exact integer budget")
     rows = np.repeat(np.arange(m), np.diff(indptr))
     vals = data % p
     live = vals != 0
     rows, cols, vals = rows[live], indices[live].astype(np.int64), vals[live]
     k = len(piv_rows)
-    draw = random.Random((m * 1000003 + n) & 0x7FFFFFFF)
-
-    def coefficients(size: int, width: int) -> np.ndarray:
-        raw = np.frombuffer(draw.randbytes(size * width), dtype=np.uint8)
-        return (raw & 3).reshape(size, width)
-
     t = needed + 16
     pivot_of_row = np.full(m, -1)
     pivot_of_row[piv_rows] = np.arange(k)
@@ -1083,8 +1060,10 @@ def _schur_rank_lb(block: Csr, p: int, needed: int, piv_rows, piv_cols) -> int:
     width = t if project else len(rest_cols)
     _refuse_dense((m, width))
     if project:
+        draw = random.Random((m * 1000003 + n) & 0x7FFFFFFF)
+        raw = np.frombuffer(draw.randbytes(len(rest_cols) * t), dtype=np.uint8)
         h = np.zeros((n, t), dtype=np.int64)
-        h[rest_cols] = coefficients(len(rest_cols), t)
+        h[rest_cols] = (raw & 3).reshape(-1, t)
         right = _csr_dot(Csr(shape, indptr, indices, data % p), h) % p
     else:
         col_at = np.full(n, -1)
@@ -1113,11 +1092,7 @@ def _schur_rank_lb(block: Csr, p: int, needed: int, piv_rows, piv_cols) -> int:
     c_ptr = np.zeros(len(rest_rows) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[in_c], minlength=m)[rest_rows], out=c_ptr[1:])
     c = Csr((len(rest_rows), k), c_ptr, pos[j[in_c]], vals[in_c])
-    s = (right[rest_rows] - _csr_dot(c, x)) % p
-    if len(rest_rows) > needed + 32:
-        g = coefficients(t, len(rest_rows)).astype(np.float64)
-        s = np.mod(g @ s.astype(np.float64), p).astype(np.int64)
-    return rank_mod(s, p)
+    return rank_mod((right[rest_rows] - _csr_dot(c, x)) % p, p)
 
 
 def _csr_dot(mat: Csr, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Concrete Hodge data, plus the exactness battery that exercises the
 complexes against the expected theorem bound.
 
-Both worked models are Kunneth products of curve data built by
-:meth:`HodgeDatum.tensor`: the abelian exterior-algebra model is E^q
-for an elliptic curve E (relabelled into the wedge-monomial basis), and
-the curves example is C_3 x C_3 for two genus-3 curves.
+The abelian exterior-algebra model is built from its definition, in the
+wedge-monomial basis of H^j(Omega^i) = Lambda^i V (x) Lambda^j Vbar.  The
+curves example C_3 x C_3, for two genus-3 curves, is the Kunneth product
+of two curve data by :meth:`HodgeDatum.tensor`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .complexes import (
     HodgeDatum,
     SparseRat,
     SubspaceW,
-    _kunneth,
     build_complex,
     exactness_prefix,
 )
@@ -55,44 +54,16 @@ def curve_datum(g: int, pairing) -> HodgeDatum:
     return HodgeDatum(1, g, [[1, g], [g, 1]], action)
 
 
-def _wedge_order(q: int) -> dict:
-    """Signed permutation from abelian_model(q - 1) (x) E to the wedge basis.
-
-    H^J(Omega^I) of E^q has the basis (S, T), the sets of factors that
-    contribute dz and dzbar, at lex-rank(S) * C(q, J) + lex-rank(T), with
-    sign (-1)^#{b < c : b in T, c in S} against the Kunneth basis of E^q.
-    Adding the last factor with the piece (i, j) of E to (S1, T1) thus
-    multiplies the sign by (-1)^(i * |T1|).
-    """
-    index = [{S: x for x, S in enumerate(itertools.combinations(range(q), n))}
-             for n in range(q + 1)]
-    # lex-ranks of the n-subsets of range(q - 1), with q - 1 added if add = 1
-    ranks = {
-        (n, add): [index[n + add][S + (q - 1,) * add]
-                   for S in itertools.combinations(range(q - 1), n)]
-        for n in range(q) for add in (0, 1)
-    }
-    order = {}
-    for I, J in itertools.product(range(q + 1), repeat=2):
-        pos, neg, width = [], [], comb(q, J)
-        for i, j in itertools.product((1, 0), repeat=2):  # Kunneth block order
-            if 0 <= I - i < q and 0 <= J - j < q:
-                rows, cols = ranks[(I - i, i)], ranks[(J - j, j)]
-                pos += [s * width + t for s in rows for t in cols]
-                neg += [i * (J - j) % 2] * (len(rows) * len(cols))
-        order[(I, J)] = (pos, neg)
-    return order
-
-
 def abelian_model(q: int) -> HodgeDatum:
     """Exterior-algebra datum of a q-dimensional abelian variety.
 
-    Built as E^q for an elliptic curve E = curve_datum(1, [[1]]): one
-    Kunneth product per factor, each written directly into the
-    wedge-monomial basis of H^j(Omega^i) = Lambda^i V (x) Lambda^j Vbar
-    (see _wedge_order).  There v_a acts by left exterior multiplication
-    on the first factor (Koszul sign = parity of the number of indices
-    in the monomial smaller than a) and by the identity on the second.
+    H^j(Omega^i) = Lambda^i V (x) Lambda^j Vbar has the basis (S, T) of
+    an i-subset S and a j-subset T of range(q), at position lex-rank(S)
+    * C(q, j) + lex-rank(T).  There v_a acts by left exterior
+    multiplication on the first factor and by the identity on the
+    second: it sends (S, T) to (S + {a}, T) with the Koszul sign, the
+    parity of the number of indices in S smaller than a, and kills (S, T)
+    when a is in S.
 
     Over any k-dimensional W, the complex (r, j) has homology C(q, j)
     C(q - k, r) at position r and 0 elsewhere.  Column j is C(q, j) copies
@@ -105,15 +76,34 @@ def abelian_model(q: int) -> HodgeDatum:
     """
     if q < 1:
         raise ValueError("need q >= 1")
-    datum = curve = curve_datum(1, [[1]])
-    for n in range(2, q + 1):
-        datum = _kunneth(datum, curve, _wedge_order(n))
-    datum.metadata.update(
-        model="abelian variety, exterior algebra on q translation-invariant forms",
-        nondegeneracy="every subspace W is non-degenerate "
+    subsets = [list(itertools.combinations(range(q), n)) for n in range(q + 1)]
+    rank = {S: x for level in subsets for x, S in enumerate(level)}
+    sign = (Fraction(1), Fraction(-1))
+    dims = [[comb(q, i) * comb(q, j) for j in range(q + 1)] for i in range(q + 1)]
+    action = {}
+    for i in range(q):
+        # (row, column, value) of v_a on Lambda^i V, for each a
+        wedge = [[] for _ in range(q)]
+        for col, S in enumerate(subsets[i]):
+            for a in range(q):
+                if a not in S:
+                    below = sum(s < a for s in S)
+                    row = rank[S[:below] + (a,) + S[below:]]
+                    wedge[a].append((row, col, sign[below % 2]))
+        for j in range(q + 1):
+            width = comb(q, j)
+            for a in range(q):
+                action[(a + 1, i, j)] = mat = SparseRat((dims[i + 1][j], dims[i][j]))
+                # every position is in range, and every value is +-1
+                mat.entries = {
+                    (row * width + t, col * width + t): v
+                    for row, col, v in wedge[a] for t in range(width)
+                }
+    return HodgeDatum(q, q, dims, action, {
+        "model": "abelian variety, exterior algebra on q translation-invariant forms",
+        "nondegeneracy": "every subspace W is non-degenerate "
         "(translation-invariant 1-forms have no zeros)",
-    )
-    return datum
+    })
 
 
 def curves_product_model(h1_basis=None) -> tuple[HodgeDatum, SubspaceW]:

@@ -23,10 +23,9 @@ from bggx.bgg import (
     g11_closed,
     g11_roots,
     mu_partition,
-    rank_lower_bound,
     verify_conjecture,
 )
-from bggx.bounds import c2_bound
+from bggx.bounds import c2_bound, conjecture_rank_bound
 from bggx.coefpoly import CoefPoly, hq_poly
 from bggx.partitions import box_partitions, contains
 from bggx.schur import grassmannian, stable
@@ -49,7 +48,7 @@ def test_mu_partition_values():
 def test_rank_lower_bound_is_codim_mu():
     for k in range(1, 6):
         for q in range(k + 1, 14):
-            assert rank_lower_bound(k, q) == sum(mu_partition(k, q)), (k, q)
+            assert conjecture_rank_bound(q, k).rank_bound == sum(mu_partition(k, q)), (k, q)
 
 
 # ----------------------------------------------------------------- c(F)

@@ -334,11 +334,32 @@ def test_e2_table_abelian_r1():
     assert js["r"] == 1 and js["entries"][0] == list(t.entries[0])
 
 
+def _doubled_column(dat, j):
+    """dat with column j taken twice: each M_a at (i, j) becomes diag(M_a, M_a)."""
+    dims = [[x * (1 + (col == j)) for col, x in enumerate(row)] for row in dat.dims]
+    action = {}
+    for (a, i, col), mat in dat.action.items():
+        if col == j:
+            (m, n), ent = mat.shape, mat.entries
+            mat = SparseRat((2 * m, 2 * n), {**ent, **{(r + m, c + n): v for (r, c), v in ent.items()}})
+        action[(a, i, col)] = mat
+    return HodgeDatum(dat.d, dat.q, dims, action)
+
+
 def test_e2_table_curves_anchor():
     dat, W = curves_product_model()
     t = e2_table(dat, W, 2)
     assert t.nonzero() == [(0, 2, 37), (1, 0, 3), (1, 1, 18)]
     assert t.hyper == (0, 3, 55, 0, 0)
+    # column 2 taken twice is two equal summands, each with its homology
+    # at position 0, where the walk yields before the last position
+    doubled = _doubled_column(dat, 2)
+    assert doubled.summand(2)[0] == 2 and doubled.check_anticommutation() is None
+    for r, column_2 in ((2, (37, 0, 0)), (3, (57, 0, 0))):
+        once, twice = e2_table(dat, W, r), e2_table(doubled, W, r)
+        assert tuple(row[2] for row in once.entries) == column_2
+        assert twice.entries == tuple(row[:2] + (2 * row[2],) for row in once.entries)
+    assert e2_table(doubled, W, 2).hyper == (0, 3, 92, 0, 0)
 
 
 def basis_change_invariance_check(datum, W, g, r, j) -> bool:
@@ -453,19 +474,26 @@ def test_abelian_homology_matches_its_koszul_closed_form():
     # C(q, j) C(q - k, r) at position r and 0 elsewhere, over every
     # k-dimensional W (see abelian_model).  W_k gives +-1 entries in many
     # small blocks, a random W dense rational maps, and its echelon basis
-    # the same span once more
+    # the same span once more; q = 6 takes W_k alone.  E^q, the Kunneth
+    # product of an elliptic curve, is the same datum in another basis
+    # (q <= 4: that basis hides the C(q, j) equal summands of column j)
+    curve = curve_datum(1, [[1]])
+    products = [curve]
+    while len(products) < 4:
+        products.append(products[-1].tensor(curve))
     rng = random.Random(20261020)
-    for q in (1, 2, 3, 4, 5):
-        dat = abelian_model(q)
+    for q in (1, 2, 3, 4, 5, 6):
+        data = [abelian_model(q)] + products[q - 1 : q]
         for k in range(1, q + 1):
             spaces = [SubspaceW([[int(a == t) for a in range(q)] for t in range(k)])]
-            for _ in range(2):
+            for _ in range(2 if q <= 5 else 0):
                 W = random_subspace(q, k, rng)
                 spaces += [W, W.echelon()]
             for r, j in itertools.product(range(1, q + 2), range(q + 1)):
                 expected = tuple(comb(q, j) * comb(q - k, r) * (i == r) for i in range(min(r, q) + 1))
-                for W in spaces:
-                    assert homology_dims(build_complex(dat, W, r, j)) == expected, (q, k, r, j, W.columns)
+                for dat, W in itertools.product(data, spaces):
+                    got = homology_dims(build_complex(dat, W, r, j))
+                    assert got == expected, (q, dat.metadata, k, r, j, W.columns)
 
 
 def test_composition_check_is_exact_past_int64():
@@ -647,14 +675,14 @@ def test_pivot_and_schur_bound_never_exceeds_exact_rank(
     if max(m, n) <= 32:  # no block is long enough to be projected
         assert lb == min(needed, rank_p)
     # both pivot counts are bounds, and the Schur complement of the row
-    # pivots, ranked without a projection whenever no side of S is 32
-    # longer than the other, makes up the rest of rank_p
+    # pivots, ranked without a projection whenever S has at most 32 more
+    # columns than the rank sought, makes up the rest of rank_p
     block = (mat.shape, mat.indptr, mat.indices, mat.data)
     live = mat.data % p != 0
     piv_rows, piv_cols = complexes._structural_pivots(block, live)
     k = len(piv_rows)
     assert max(k, complexes._column_pivot_count(block, live)) <= rank_p
-    if max(m, n) <= min(m, n) + 32:
+    if n <= min(m, n) + 32:
         s_rank = complexes._schur_rank_lb(block, p, min(m, n) - k, piv_rows, piv_cols)
         assert k + s_rank == rank_p
 
