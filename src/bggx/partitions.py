@@ -7,8 +7,6 @@ ring code. All functions validate their input through normalize().
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 def normalize(parts) -> tuple[int, ...]:
     """Return the canonical tuple form, dropping trailing zeros.
@@ -88,51 +86,51 @@ def box_partitions(rows: int, width: int, min_size: int = 0, max_size: int | Non
 def horizontal_strips(lam, m: int, rows: int, width: int | None):
     """Yield nu with nu/lam a horizontal m-strip inside the rows x width box.
 
-    Horizontal strip: nu_i >= lam_i >= nu_{i+1} and |nu| = |lam| + m.
+    Horizontal strip: nu_i >= lam_i >= nu_{i+1} and |nu| = |lam| + m. Rows are
+    filled top down, largest first, skipping counts the rows below cannot finish.
     """
     lam = normalize(lam)
     if m < 0 or len(lam) > rows:
         return
     padded = lam + (0,) * (rows - len(lam))
+    first = (lam[0] if lam else 0) + m if width is None else width
+    room = [min(top, first) - low for top, low in zip((first,) + padded, padded)]
+    spare = [0] * (rows + 1)  # spare[i]: boxes rows i.. can take
+    for i in range(rows - 1, -1, -1):
+        spare[i] = spare[i + 1] + room[i]
 
     def rec(i, remaining, out):
         if remaining == 0:
-            yield normalize(tuple(out) + padded[i:])
+            yield out + lam[i:]  # canonical: out ends with a box added
             return
         if i == rows:
             return
-        low = padded[i]
-        high = padded[i - 1] if i > 0 else (width if width is not None else low + remaining)
-        if width is not None:
-            high = min(high, width)
-        high = min(high, low + remaining)
-        for v in range(high, low - 1, -1):
-            yield from rec(i + 1, remaining - (v - low), out + [v])
+        for b in range(min(room[i], remaining), max(0, remaining - spare[i + 1]) - 1, -1):
+            yield from rec(i + 1, remaining - b, out + (padded[i] + b,))
 
-    yield from rec(0, m, [])
+    yield from rec(0, m, ())
 
 
 def vertical_strips(lam, c: int, rows: int, width: int | None):
-    """Yield nu with nu/lam a vertical c-strip (at most one box per row) in the box."""
+    """Yield nu with nu/lam a vertical c-strip (at most one box per row) in the box,
+    in the lexicographic order of the rows that take a box. Row i can take one
+    within the width when lam_{i-1} > lam_i or row i - 1 took one too.
+    """
     lam = normalize(lam)
     if c < 0 or len(lam) > rows:
         return
-    if c == 0:
-        yield lam
-        return
-    padded = lam + (0,) * (rows - len(lam))
-    for pick in combinations(range(rows), c):
-        nu = list(padded)
-        ok = True
-        for i in pick:
-            nu[i] += 1
-            if width is not None and nu[i] > width:
-                ok = False
-                break
-        if not ok:
-            continue
-        if all(nu[i] >= nu[i + 1] for i in range(rows - 1)):
-            yield normalize(tuple(nu))
+    padded, n = lam + (0,) * (rows - len(lam)), len(lam)
+
+    def rec(start, remaining, nu):
+        # row start - 1 took the last box
+        if remaining == 0:
+            yield nu[:max(n, start)]
+            return
+        for i in range(start, rows - remaining + 1):
+            if (i == start or padded[i - 1] > padded[i]) and (width is None or padded[i] < width):
+                yield from rec(i + 1, remaining - 1, nu[:i] + (padded[i] + 1,) + padded[i + 1:])
+
+    yield from rec(0, c, padded)
 
 
 def partitions_with_max_length(n: int, max_len: int):

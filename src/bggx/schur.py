@@ -5,12 +5,12 @@ codimension |lambda|). A context with width=None is the inductive limit as
 q grows: partitions keep at most k parts but parts are unbounded, which is
 the ring of Schur polynomials in k variables.
 
-Every product is a chain of one cached Pieri step (the nu with nu/lam a
-horizontal or vertical m-strip in the box). sigma_lam * sigma_b expands
-sigma_b = det(sigma_{b_i + j - i}) (Fulton, Young Tableaux, Sec. 2, 9.4) into
-signed multisets of row indices, applied along shared prefixes; the series
-code expands e-monomials the same way. An independent Littlewood-Richardson
-tableau count (lr_coefficient) shares no code with the ring operations.
+Every product reads one cache keyed by its ordered pair of canonical in-box
+factors: a cached Pieri step (the nu with nu/lam a horizontal or vertical
+m-strip) when a factor is a row or a column, else sigma_b = det(sigma_{b_i +
+j - i}) (Fulton, Young Tableaux, Sec. 2, 9.4) as signed multisets of row
+indices applied along shared prefixes, as the series code applies e-monomials.
+An independent Littlewood-Richardson tableau count shares no code with them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .partitions import (
     vertical_strips,
 )
 
-# Bound on each cache, far above the 837 general products and 982 Pieri
-# steps of all Gr(4,8) products plus the k <= 4 staircase, or (7,15)'s 3483.
+# Bound on each cache: all Gr(4,8) products and the k <= 4 staircase fill 2645
+# products, 982 Pieri steps, 70 in-box partitions; (8,18) alone 13699 steps.
 _CACHE_SIZE = 1 << 14
 
 
@@ -100,8 +100,7 @@ class SchubertExpr:
         self.ctx = ctx
         store = {}
         for lam, c in (terms or {}).items():
-            lam = normalize(lam)
-            ctx.check(lam)
+            lam = _in_box(tuple(lam), ctx.k, ctx.width)
             c = _norm_coeff(c)
             if c:
                 store[lam] = c
@@ -135,7 +134,7 @@ class SchubertExpr:
         return self.terms.get(normalize(lam), 0)
 
     def _require_same_ctx(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
@@ -212,8 +211,7 @@ def _strips(lam, m, k, width, vertical):
 
 
 def _pieri(lam, m, ctx, vertical):
-    lam = normalize(lam)
-    ctx.check(lam)
+    lam = _in_box(tuple(lam), ctx.k, ctx.width)
     if m < 0:
         raise ValueError("class index must be non-negative")
     return SchubertExpr._make(ctx, ((nu, 1) for nu in _strips(lam, m, ctx.k, ctx.width, vertical)))
@@ -279,39 +277,53 @@ def giambelli(lam, ctx: GrassmannianContext) -> SchubertExpr:
 
     Sanity: the result always equals sigma_lam itself.
     """
-    lam = normalize(lam)
-    ctx.check(lam)
+    lam = _in_box(tuple(lam), ctx.k, ctx.width)
     return pieri_words((), _giambelli_words(lam, ctx.width), ctx)
 
 
 def class_product(lam, mu, ctx: GrassmannianContext) -> SchubertExpr:
-    """sigma_lam * sigma_mu. Pieri fast paths, Giambelli in general."""
-    lam, mu = normalize(lam), normalize(mu)
-    # single-row / single-column fast paths
-    if len(mu) <= 1:
-        return pieri(lam, mu[0] if mu else 0, ctx)
-    if len(lam) <= 1:
-        return pieri(mu, lam[0] if lam else 0, ctx)
-    if mu[0] == 1:
-        return pieri_dual(lam, len(mu), ctx)
-    if lam[0] == 1:
-        return pieri_dual(mu, len(lam), ctx)
-    pair = (lam, mu) if lam <= mu else (mu, lam)
-    return SchubertExpr._make(ctx, _general_product(*pair, ctx))
+    """sigma_lam * sigma_mu, both in the box of ctx (ValueError otherwise)."""
+    k, width = ctx.k, ctx.width
+    lam, mu = _in_box(tuple(lam), k, width), _in_box(tuple(mu), k, width)
+    res = SchubertExpr.__new__(SchubertExpr)
+    res.ctx, res.terms = ctx, dict(_product(lam, mu, k, width))
+    return res
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _general_product(lam, mu, ctx):
-    # (nu, coefficient) pairs; the factor with fewer rows goes through Giambelli
+def _in_box(lam, k, width):
+    """lam in canonical form, checked against the k x width box."""
+    lam = normalize(lam)
+    GrassmannianContext(k, width).check(lam)
+    return lam
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _product(lam, mu, k, width):
+    """(nu, coefficient) pairs of sigma_lam * sigma_mu for canonical in-box
+    factors: one Pieri step when a factor is a row or a column, else the
+    factor with fewer rows through Giambelli, computed once for the sorted pair."""
+    if len(mu) <= 1 or len(lam) <= 1:
+        lam, mu = (lam, mu) if len(mu) <= 1 else (mu, lam)
+        return tuple((nu, 1) for nu in _strips(lam, sum(mu), k, width, False))
+    if mu[0] == 1 or lam[0] == 1:
+        lam, mu = (lam, mu) if mu[0] == 1 else (mu, lam)
+        return tuple((nu, 1) for nu in _strips(lam, len(mu), k, width, True))
+    if mu < lam:
+        return _product(mu, lam, k, width)
     a, b = (lam, mu) if len(mu) <= len(lam) else (mu, lam)
-    return tuple(pieri_words(a, _giambelli_words(b, ctx.width), ctx).terms.items())
+    words = _giambelli_words(b, width)
+    return tuple(pieri_words(a, words, GrassmannianContext(k, width)).terms.items())
 
 
 def multiply(a: SchubertExpr, b: SchubertExpr) -> SchubertExpr:
     """Product of two expressions, bilinear over class_product."""
-    if a.ctx != b.ctx:
-        raise ValueError(f"context mismatch: {a.ctx} vs {b.ctx}")
+    a._require_same_ctx(b)
     ctx = a.ctx
+    if len(a.terms) == 1 == len(b.terms):
+        ((lam, ca),), ((mu, cb),) = a.terms.items(), b.terms.items()
+        if type(ca) is type(cb) is int and ca == 1 == cb:  # not a polynomial 1
+            return class_product(lam, mu, ctx)
     out = {}
     for lam, ca in a.terms.items():
         for mu, cb in b.terms.items():
@@ -327,8 +339,7 @@ def complement(lam, ctx: GrassmannianContext) -> tuple[int, ...]:
     """Poincare-dual partition: hat(lam)_i = (q-k) - lam_{k+1-i}."""
     if ctx.is_stable:
         raise ValueError("complement needs a finite box")
-    lam = normalize(lam)
-    ctx.check(lam)
+    lam = _in_box(tuple(lam), ctx.k, ctx.width)
     padded = lam + (0,) * (ctx.k - len(lam))
     return normalize(tuple(ctx.width - padded[ctx.k - 1 - i] for i in range(ctx.k)))
 

@@ -21,11 +21,11 @@ def _cached_functions():
 
 def test_every_lru_cache_is_bounded():
     found = dict(_cached_functions())
-    # the Pieri step, grouped Giambelli terms, general products, Sym^r tables
-    # and contractions at least
+    # the Pieri step, grouped Giambelli terms, class products, in-box
+    # partitions, Sym^r tables and contractions at least
     for name in ("bggx.schur._strips", "bggx.schur._giambelli_words",
-                 "bggx.schur._general_product", "bggx.series._sym_power_table",
-                 "bggx.complexes._contraction_coo"):
+                 "bggx.schur._product", "bggx.schur._in_box",
+                 "bggx.series._sym_power_table", "bggx.complexes._contraction_coo"):
         assert name in found, name
     for name, fn in found.items():
         maxsize = fn.cache_info().maxsize

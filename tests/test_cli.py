@@ -111,6 +111,23 @@ def test_usage_errors_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [("5", "1,1"), ("1,1", "5"), ("1,1,1", "2,1"), ("2,1", "1,1,1"),
+     ("3,2", "2,2"), ("2,2", "3,2")],
+    ids=["row-too-wide", "row-too-wide-rhs", "column-too-long", "column-too-long-rhs",
+         "general-too-wide", "general-too-wide-rhs"],
+)
+def test_schubert_mult_factor_outside_the_box_exits_2(capsys, lhs, rhs):
+    # either factor outside the 2 x 2 box of Gr(2,4) is a usage error, not a product 0
+    code, out, err = run(
+        capsys, "schubert", "mult", "--k", "2", "--q", "4", "--lhs", lhs, "--rhs", rhs,
+    )
+    assert code == 2
+    assert out == ""
+    assert "does not fit" in err
+
+
 def test_missing_and_malformed_input_files_exit_3(tmp_path, capsys):
     code, _, err = run(
         capsys, "bounds", "check", "--hodge", str(tmp_path / "nope.json"),

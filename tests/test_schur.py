@@ -5,9 +5,18 @@ duality, and truncation coherence between boxes of different widths."""
 import hashlib
 import json
 import random
+from itertools import combinations
+
+import pytest
 
 from bggx.bgg import _times_c_Q_power
-from bggx.partitions import box_partitions, conjugate, normalize
+from bggx.partitions import (
+    box_partitions,
+    conjugate,
+    horizontal_strips,
+    normalize,
+    vertical_strips,
+)
 from bggx.schur import (
     SchubertExpr,
     class_product,
@@ -42,6 +51,49 @@ def strip_oracle(lam, m, rows, width):
     return sorted(out)
 
 
+def horizontal_strips_oracle(lam, m, rows, width):
+    """Row by row from the top, each row taking lam_i..min(lam_{i-1}, width)
+    boxes, largest first, every output normalized: the enumeration the
+    pruned generator must reproduce in order."""
+    lam = normalize(lam)
+    if m < 0 or len(lam) > rows:
+        return
+    padded = lam + (0,) * (rows - len(lam))
+
+    def rec(i, remaining, out):
+        if remaining == 0:
+            yield normalize(tuple(out) + padded[i:])
+            return
+        if i == rows:
+            return
+        low = padded[i]
+        high = padded[i - 1] if i > 0 else (width if width is not None else low + remaining)
+        if width is not None:
+            high = min(high, width)
+        high = min(high, low + remaining)
+        for v in range(high, low - 1, -1):
+            yield from rec(i + 1, remaining - (v - low), out + [v])
+
+    yield from rec(0, m, [])
+
+
+def vertical_strips_oracle(lam, c, rows, width):
+    """Every c-subset of the rows in lexicographic order, kept when adding a
+    box to each picked row stays a partition in the box, normalized."""
+    lam = normalize(lam)
+    if c < 0 or len(lam) > rows:
+        return
+    padded = lam + (0,) * (rows - len(lam))
+    for pick in combinations(range(rows), c):
+        nu = list(padded)
+        for i in pick:
+            nu[i] += 1
+        if (width is None or all(nu[i] <= width for i in pick)) and all(
+            nu[i] >= nu[i + 1] for i in range(rows - 1)
+        ):
+            yield normalize(tuple(nu))
+
+
 def product_oracle(lam, mu, ctx):
     """sigma_lam * sigma_mu from raw LR coefficients, box-truncated."""
     out = {}
@@ -63,6 +115,27 @@ def test_pieri_matches_strip_oracle():
                 got = sorted(pieri(lam, m, ctx).terms)
                 assert got == strip_oracle(lam, m, k, q - k), (k, q, lam, m)
                 assert all(c == 1 for c in pieri(lam, m, ctx).terms.values())
+
+
+def test_strip_generators_match_the_full_enumerations_in_order():
+    # the partitions of the rows x width box (rows x 3 when unbounded), every
+    # (len // 150)-th of them in the boxes holding 300 or more, and every
+    # strip size plus one past the largest; order matters, since it is the
+    # insertion order of every product dict
+    for rows in range(9):
+        for width in [*range(7), None]:
+            lams = list(box_partitions(rows, 3 if width is None else width))
+            for lam in lams[::max(1, len(lams) // 150)]:
+                for m in range(-1, (7 if width is None else width) + 2):
+                    got = list(horizontal_strips(lam, m, rows, width))
+                    assert got == list(horizontal_strips_oracle(lam, m, rows, width)), \
+                        (lam, m, rows, width)
+                    assert all(nu == normalize(nu) for nu in got)
+                for c in range(-1, rows + 2):
+                    got = list(vertical_strips(lam, c, rows, width))
+                    assert got == list(vertical_strips_oracle(lam, c, rows, width)), \
+                        (lam, c, rows, width)
+                    assert all(nu == normalize(nu) for nu in got)
 
 
 def test_c_Q_row_sweeps_are_every_strip_size_at_once():
@@ -167,6 +240,27 @@ def test_product_frozen_values():
     assert class_product((1,), (1,), g24).terms == {(2,): 1, (1, 1): 1}
     # point class squares to zero
     assert class_product((2, 2), (1,), g24).terms == {}
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [
+        ((1, 1), (3,)),  # a row wider than the box
+        ((3, 1), (1,)),  # the other factor of a row product wider
+        ((2, 1), (1, 1, 1)),  # a column longer than the box
+        ((2, 2, 1), (1, 1)),  # the other factor of a column product longer
+        ((2, 2), (3, 2)),  # Giambelli: one factor wider
+        ((2, 2, 2), (2, 2)),  # Giambelli: one factor longer
+    ],
+    ids=["row", "row-partner", "column", "column-partner", "giambelli-wide", "giambelli-long"],
+)
+def test_class_product_checks_both_factors_against_the_box(lam, mu):
+    # the order given takes each of the row, column and Giambelli branches,
+    # the reverse order the mirror branch
+    ctx = grassmannian(2, 4)
+    for a, b in ((lam, mu), (mu, lam)):
+        with pytest.raises(ValueError, match="does not fit"):
+            class_product(a, b, ctx)
 
 
 def test_giambelli_reproduces_the_class():
